@@ -1,17 +1,25 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_n).
 
-Elements are rational coefficient vectors reduced modulo the n-th
-cyclotomic polynomial, so representation is unique and equality is
-structural.  Division is total on nonzero elements because the modulus
-is irreducible.
+An element is an integer coefficient vector over one positive common
+denominator, reduced modulo the n-th cyclotomic polynomial and kept in
+lowest terms, so representation is unique and equality is structural.
+Division is total on nonzero elements because the modulus is irreducible.
+
+The modulus is monic with integer coefficients, so a product is reduced
+in integers alone.  Products are taken by Kronecker substitution: both
+vectors are packed into one integer each, multiplied once, and unpacked
+(D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symbolic Comput. 2009).
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from fractions import Fraction
 
-from .exactnum import ONE, ZERO, RatPoly, poly_xgcd
+from .exactnum import ONE, RatPoly, poly_xgcd
 
 
 @functools.lru_cache(maxsize=None)
@@ -28,6 +36,42 @@ def cyclotomic_polynomial(n: int) -> RatPoly:
     return num
 
 
+def _offsets(width: int, count: int) -> int:
+    """sum of (X / 2) X^i for i < count, X = 2^(8 * width): the shift that
+    makes `count` coefficients below X / 2 in size nonnegative digits."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(vec, width: int) -> int:
+    """sum of vec[i] X^i, X = 2^(8 * width), for |vec[i]| < X / 2: each
+    entry is laid down as the digit vec[i] + X / 2, then the shift is
+    taken off again."""
+    half = 1 << (8 * width - 1)
+    digits = b"".join([(v + half).to_bytes(width, "little") for v in vec])
+    return int.from_bytes(digits, "little") - _offsets(width, len(vec))
+
+
+def _unpack(value: int, width: int, count: int, period: int) -> list[int]:
+    """The vector sum c_i x^i folded with x^period = 1, from value =
+    sum c_i X^i over i < count < 2 * period, X = 2^(8 * width).
+
+    Every c_i and every folded sum c_i + c_(i+period) must be below X / 2
+    in size.  Shifted by X / 2, the coefficients are digits; folding adds
+    the digits above X^period to those below and takes one shift off.
+    """
+    bits = 8 * width
+    shift = _offsets(width, count)
+    value += shift
+    if count > period:
+        cut = period * bits
+        value = (value & ((1 << cut) - 1)) + (value >> cut) - (shift >> cut)
+        count = period
+    raw = value.to_bytes(width * count, "little")
+    half = 1 << (bits - 1)
+    digit = int.from_bytes
+    return [digit(raw[i : i + width], "little") - half for i in range(0, width * count, width)]
+
+
 class CycloField:
     """Context for Q(zeta_n): the modulus, its degree, and power tables.
 
@@ -39,49 +83,66 @@ class CycloField:
             raise ValueError("n must be a positive integer")
         self.n = n
         self.phi = cyclotomic_polynomial(n)
-        self.degree = self.phi.degree
-        # Reduction rows: zeta^j as a coefficient vector for j = 0..2*degree-2,
-        # enough to reduce any product of two reduced elements.
-        d = self.degree
-        rows = [[ZERO] * d for _ in range(2 * d - 1)]
-        for j in range(d):
-            rows[j][j] = ONE
-        # phi is monic: x^d = -(phi - x^d)
-        top = [-c for c in self.phi.coeffs[:d]]
-        for j in range(d, 2 * d - 1):
-            prev = rows[j - 1]
-            shifted = [ZERO] + prev[: d - 1]
-            carry = prev[d - 1]
-            if carry:
-                shifted = [shifted[i] + carry * top[i] for i in range(d)]
-            rows[j] = shifted
-        self._reduction = tuple(tuple(r) for r in rows)
-        self.zero = CycloElem(self, (ZERO,) * d)
-        one = [ZERO] * d
-        one[0] = ONE
-        self.one = CycloElem(self, tuple(one))
+        d = self.degree = self.phi.degree
+        # phi = x^d + sum of p_i x^i; only the nonzero p_i (integers) matter
+        self._phi_tail = tuple(
+            (i, int(c)) for i, c in enumerate(self.phi.coeffs[:d]) if c
+        )
+        self.zero = _elem(self, (0,) * d, 1)
         # zeta^j reduced, for exponents mod n
-        zpows = [self.one]
-        zeta = self.element(RatPoly.monomial(1))
-        for _ in range(1, n):
-            zpows.append(zpows[-1] * zeta)
+        zpows = []
+        vec = [1] + [0] * (d - 1)
+        for _ in range(n):
+            zpows.append(_elem(self, tuple(vec), 1))
+            vec = self._reduce([0] + vec)
         self._zeta_pows = tuple(zpows)
-        self.zeta = self._zeta_pows[1 % n]
+        self.one = zpows[0]
+        self.zeta = zpows[1 % n]
+
+    def _reduce(self, vec: list[int]) -> list[int]:
+        """An integer vector in zeta of any length, reduced modulo phi in
+        place by long division by the monic phi."""
+        d = self.degree
+        tail = self._phi_tail
+        for k in range(len(vec) - 1, d - 1, -1):
+            t = vec[k]
+            if t:
+                base = k - d
+                for i, p in tail:
+                    vec[base + i] -= t * p
+        del vec[d:]
+        vec.extend([0] * (d - len(vec)))
+        return vec
 
     def element(self, poly: RatPoly) -> "CycloElem":
         """Image of a rational polynomial in zeta, reduced modulo phi."""
-        _, rem = poly.divmod(self.phi)
-        coeffs = list(rem.coeffs) + [ZERO] * (self.degree - len(rem.coeffs))
-        return CycloElem(self, tuple(coeffs))
+        den = math.lcm(*(c.denominator for c in poly.coeffs))
+        vec = [c.numerator * (den // c.denominator) for c in poly.coeffs]
+        return _normalized(self, self._reduce(vec), den)
 
     def from_rational(self, q) -> "CycloElem":
-        coeffs = [ZERO] * self.degree
-        coeffs[0] = Fraction(q)
-        return CycloElem(self, tuple(coeffs))
+        q = Fraction(q)
+        return _elem(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def zeta_pow(self, j: int) -> "CycloElem":
         """zeta^j for any integer j (exponent taken mod n)."""
         return self._zeta_pows[j % self.n]
+
+    def inv_one_minus_zeta_pow(self, m: int) -> "CycloElem":
+        """(1 - zeta^m)^(-1) in closed form, for n not dividing m.
+
+        With x = zeta^m a primitive n'-th root of unity, n' = n / gcd(m, n),
+        (1 - x) * sum_{j<n'} j x^j = -n', so the inverse is
+        -(1/n') * sum_{j<n'} j x^j.
+        """
+        n = self.n
+        if m % n == 0:
+            raise ZeroDivisionError(f"1 - zeta^{m} vanishes at a primitive {n}-th root of unity")
+        order = n // math.gcd(m, n)
+        vec = [0] * n
+        for j in range(1, order):
+            vec[(m * j) % n] -= j
+        return _normalized(self, self._reduce(vec), order)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CycloField) and other.n == self.n
@@ -98,15 +159,53 @@ def get_field(n: int) -> CycloField:
     return CycloField(n)
 
 
+def _elem(field: CycloField, num: tuple, den: int) -> "CycloElem":
+    """An element from a reduced vector already in lowest terms."""
+    e = object.__new__(CycloElem)
+    e.field = field
+    e.num = num
+    e.den = den
+    return e
+
+
+def _normalized(field: CycloField, num, den: int) -> "CycloElem":
+    """An element from a reduced vector over a positive denominator,
+    brought to lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            return _elem(field, tuple([c // g for c in num]), den // g)
+    return _elem(field, tuple(num), den)
+
+
 class CycloElem:
-    """Element of Q(zeta_n) as a reduced coefficient vector of length
-    equal to the field degree: coeffs[j] multiplies zeta^j."""
+    """Element of Q(zeta_n): num[j] / den multiplies zeta^j.
 
-    __slots__ = ("field", "coeffs")
+    `num` is an integer vector of length equal to the field degree and
+    `den` a positive integer with gcd(den, *num) == 1.
+    """
 
-    def __init__(self, field: CycloField, coeffs: tuple):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: CycloField, coeffs):
+        """From a reduced vector of rational (Fraction or int) coefficients."""
+        coeffs = tuple(coeffs)
+        if len(coeffs) != field.degree:
+            raise ValueError(
+                f"expected {field.degree} coefficients for n={field.n}, got {len(coeffs)}"
+            )
+        den = math.lcm(*(c.denominator for c in coeffs))
         self.field = field
-        self.coeffs = coeffs
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficient of zeta^j as a Fraction, for j < degree."""
+        den = self.den
+        if den == 1:
+            return tuple(map(Fraction, self.num))
+        return tuple(Fraction(c, den) for c in self.num)
 
     def _check(self, other: "CycloElem") -> None:
         if self.field.n != other.field.n:
@@ -114,42 +213,39 @@ class CycloElem:
                 f"mixed cyclotomic fields: n={self.field.n} vs n={other.field.n}"
             )
 
-    def __add__(self, other: "CycloElem") -> "CycloElem":
+    def _combine(self, other: "CycloElem", op) -> "CycloElem":
         self._check(other)
-        return CycloElem(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        da, db = self.den, other.den
+        if da == db:
+            return _normalized(self.field, list(map(op, self.num, other.num)), da)
+        den = math.lcm(da, db)
+        fa, fb = den // da, den // db
+        return _normalized(
+            self.field, [op(a * fa, b * fb) for a, b in zip(self.num, other.num)], den
         )
+
+    def __add__(self, other: "CycloElem") -> "CycloElem":
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "CycloElem") -> "CycloElem":
-        self._check(other)
-        return CycloElem(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "CycloElem":
-        return CycloElem(self.field, tuple(-a for a in self.coeffs))
+        return _elem(self.field, tuple(map(operator.neg, self.num)), self.den)
 
     def __mul__(self, other: "CycloElem") -> "CycloElem":
         self._check(other)
-        d = self.field.degree
-        raw = [ZERO] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    raw[i + j] += a * b
-        red = self.field._reduction
-        out = list(raw[:d])
-        for j in range(d, 2 * d - 1):
-            c = raw[j]
-            if not c:
-                continue
-            row = red[j]
-            for i in range(d):
-                if row[i]:
-                    out[i] += c * row[i]
-        return CycloElem(self.field, tuple(out))
+        field = self.field
+        a, b = self.num, other.num
+        # A product coefficient, folded with x^n = 1 or not, sums at most d
+        # terms a_i b_j (one j per i), so it is below d max|a| max|b|.
+        bound = len(a) * max(max(a), -min(a)) * max(max(b), -min(b))
+        if not bound:
+            return field.zero
+        width = (bound.bit_length() + 8) // 8
+        product = _pack(a, width) * _pack(b, width)
+        vec = _unpack(product, width, 2 * len(a) - 1, field.n)
+        return _normalized(field, field._reduce(vec), self.den * other.den)
 
     def inverse(self) -> "CycloElem":
         """Multiplicative inverse via extended gcd with the modulus."""
@@ -176,26 +272,27 @@ class CycloElem:
         return acc
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CycloElem)
             and self.field.n == other.field.n
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.n, self.coeffs))
+        return hash((self.field.n, self.num, self.den))
 
     def is_rational(self) -> bool:
         """True iff the coefficients of zeta^j vanish for all j >= 1."""
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_part(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"element is not rational: {self}")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def complex_value(self) -> complex:
         """Floating rendering with zeta mapped to exp(2*pi*i/n).
@@ -204,14 +301,13 @@ class CycloElem:
         with Neumaier compensation; the coefficients can be large with
         heavy cancellation, so Horner in a floating zeta loses digits.
         """
-        import math
-
         n = self.field.n
+        den = self.den
         sr = cr = si = ci = 0.0
-        for j, c in enumerate(self.coeffs):
+        for j, c in enumerate(self.num):
             if not c:
                 continue
-            fc = float(c)
+            fc = c / den
             theta = 2 * math.pi * j / n
             for real_side, term in ((True, fc * math.cos(theta)),
                                     (False, fc * math.sin(theta))):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycloElem, CycloField, get_field, q_integer
+from .cyclotomic import CycloElem, CycloField, get_field
 
 
 class Index:
@@ -135,15 +135,12 @@ class ExactBackend:
         self.field = get_field(n)
         self.zero = self.field.zero
         self.one = self.field.one
-        inv = [None]
-        for m in range(1, n):
-            qm = q_integer(m, self.field)
-            if not qm:
-                raise ZeroDivisionError(
-                    f"q-integer [{m}] vanishes at a primitive {n}-th root of unity"
-                )
-            inv.append(qm.inverse())
-        self._inv_qint = inv
+        # [m]^(-1) = (1 - zeta) (1 - zeta^m)^(-1), the second factor in
+        # closed form
+        one_minus_zeta = self.one - self.field.zeta
+        self._inv_qint = [None] + [
+            one_minus_zeta * self.field.inv_one_minus_zeta_pow(m) for m in range(1, n)
+        ]
         self._weights: dict[tuple[int, int], CycloElem] = {}
 
     def weight(self, k: int, m: int) -> CycloElem:
@@ -295,7 +292,7 @@ def _zbar_cached(parts: tuple, n: int, star: bool) -> CycloElem:
         # 1 - zeta_1 = 0; every nonempty sum is empty, so the modified
         # value is 0 (and 1 for the empty index), matching all closed forms.
         return value
-    scale = (backend.field.one - backend.field.zeta).inverse() ** index.weight
+    scale = backend.field.inv_one_minus_zeta_pow(1) ** index.weight
     return value * scale
 
 

@@ -364,9 +364,7 @@ def polylog(index: Index, n: int, star: bool = False) -> TPoly:
     r = index.depth
     if r == 0:
         return TPoly.one(field)
-    inv = [None] + [
-        (field.one - field.zeta_pow(m)).inverse() for m in range(1, n)
-    ]
+    inv = [None] + [field.inv_one_minus_zeta_pow(m) for m in range(1, n)]
 
     def w(k: int, m: int) -> CycloElem:
         return inv[m] ** k

@@ -115,7 +115,10 @@ def _xi_kernel_reports(cap: int) -> list[VerificationReport]:
 def _xi_numeric_reports() -> list[VerificationReport]:
     reports = []
     schedule = [2**e for e in range(8, 15)]
-    # final-error bounds sized to the measured 1/n decay at n = 2^14
+    # final-error bounds sized to the measured 1/n decay at n = 2^14.  The
+    # (2) row applies 2e-3 at n = 2^14, where acceptance criterion 9 applies
+    # 1e-3 at n = 2^15: its error is 2 pi^3 / (3n), 1.26e-3 at 2^14, and
+    # 1e-3 first holds at n = 20671.
     targets = [
         (Index((2,)), math.pi**2 / 3, 2e-3),
         (Index((1, 1)), -2 * math.pi**2 / 3, 1e-2),
@@ -149,9 +152,16 @@ def _flatten(result) -> list[VerificationReport]:
     return list(result)
 
 
+def worker_count(parallelism: int, instances: int) -> int:
+    """Pool size: the requested parallelism, but never more workers than
+    CPUs or instances, and at least one."""
+    return max(1, min(parallelism, os.cpu_count() or 1, instances))
+
+
 def _run(fn, instances, parallelism: int) -> list[VerificationReport]:
-    if parallelism > 1 and len(instances) > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    workers = worker_count(parallelism, len(instances))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fn, instances))
     else:
         results = [fn(args) for args in instances]

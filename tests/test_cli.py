@@ -146,6 +146,40 @@ def test_env_var_overrides_parallelism_flag(capsys, monkeypatch):
     assert code == 2
 
 
+def test_worker_count_is_clamped(monkeypatch):
+    from qmhs import suites
+
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: 4)
+    assert suites.worker_count(500, 100) == 4
+    assert suites.worker_count(500, 3) == 3
+    assert suites.worker_count(2, 100) == 2
+    assert suites.worker_count(1, 100) == 1
+    assert suites.worker_count(0, 5) == 1
+    assert suites.worker_count(8, 0) == 1
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: None)
+    assert suites.worker_count(500, 100) == 1
+
+
+def test_huge_parallelism_on_one_cpu_starts_no_pool(capsys, monkeypatch):
+    from qmhs import suites
+
+    argv = ("verify", "thm12", "--n-max", "3", "--cap", "3", "--format", "json")
+    code, serial, _ = run_cli(capsys, *argv, "--parallelism", "1")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("QMHS_PARALLELISM", "500")
+    code2, clamped, _ = run_cli(capsys, *argv)
+    assert code == code2 == 0
+    strip = lambda reports: [
+        {k: v for k, v in r.items() if k != "micros"} for r in json.loads(reports)
+    ]
+    assert strip(serial) == strip(clamped)
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     from qmhs import cli
     from qmhs.report import FAIL, VerificationReport
