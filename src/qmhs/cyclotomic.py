@@ -154,6 +154,34 @@ class CycloField:
         return f"CycloField({self.n})"
 
 
+def compensated_sums(values) -> list[complex]:
+    """Running sums 0, v_1, v_1 + v_2, ... of complex values, with Neumaier
+    compensation on the real and on the imaginary part: the rounding error
+    of each step, c += (s - t) + v with the larger magnitude first, is
+    carried alongside and added back in every sum (A. Neumaier, ZAMM 54,
+    1974)."""
+    sr = cr = si = ci = 0.0
+    out = [0j]
+    append = out.append
+    for v in values:
+        x = v.real
+        t = sr + x
+        if abs(sr) >= abs(x):
+            cr += (sr - t) + x
+        else:
+            cr += (x - t) + sr
+        sr = t
+        x = v.imag
+        t = si + x
+        if abs(si) >= abs(x):
+            ci += (si - t) + x
+        else:
+            ci += (x - t) + si
+        si = t
+        append(complex(sr + cr, si + ci))
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def get_field(n: int) -> CycloField:
     return CycloField(n)
@@ -262,14 +290,18 @@ class CycloElem:
     def __pow__(self, e: int) -> "CycloElem":
         if e < 0:
             return self.inverse() ** (-e)
-        acc = self.field.one
+        if e == 0:
+            return self.field.one
+        # binary powering from the lowest bit, without squaring past the top
+        acc = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                acc = acc * base
-            base = base * base
+                acc = base if acc is None else acc * base
             e >>= 1
-        return acc
+            if not e:
+                return acc
+            base = base * base
 
     def __bool__(self) -> bool:
         return any(self.num)
@@ -303,22 +335,12 @@ class CycloElem:
         """
         n = self.field.n
         den = self.den
-        sr = cr = si = ci = 0.0
-        for j, c in enumerate(self.num):
-            if not c:
-                continue
-            fc = c / den
-            theta = 2 * math.pi * j / n
-            for real_side, term in ((True, fc * math.cos(theta)),
-                                    (False, fc * math.sin(theta))):
-                s = sr if real_side else si
-                t = s + term
-                comp = (s - t) + term if abs(s) >= abs(term) else (term - t) + s
-                if real_side:
-                    sr, cr = t, cr + comp
-                else:
-                    si, ci = t, ci + comp
-        return complex(sr + cr, si + ci)
+        terms = (
+            complex(c / den * math.cos(2 * math.pi * j / n),
+                    c / den * math.sin(2 * math.pi * j / n))
+            for j, c in enumerate(self.num) if c
+        )
+        return compensated_sums(terms)[-1]
 
     def __repr__(self) -> str:
         return f"CycloElem(n={self.field.n}, {render_cyclo(self)!r})"

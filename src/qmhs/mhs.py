@@ -8,13 +8,13 @@ complex numbers, selected by the backend object.
 
 from __future__ import annotations
 
-import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycloElem, CycloField, get_field
+from .cyclotomic import CycloElem, compensated_sums, get_field
 
 
 class Index:
@@ -127,7 +127,8 @@ class ExactBackend:
     """Value field Q(zeta_n) with q = zeta_n.
 
     Precomputes the inverse q-integers once; weights q^((k-1)m) / [m]^k
-    are cached per (k, m).  All cached values are immutable.
+    are cached in one row per k, filled on demand.  All cached values are
+    immutable.
     """
 
     def __init__(self, n: int):
@@ -141,32 +142,32 @@ class ExactBackend:
         self._inv_qint = [None] + [
             one_minus_zeta * self.field.inv_one_minus_zeta_pow(m) for m in range(1, n)
         ]
-        self._weights: dict[tuple[int, int], CycloElem] = {}
+        self._rows: dict[int, list] = {}
 
     def weight(self, k: int, m: int) -> CycloElem:
         """q^((k-1)m) / [m]^k as a field element, 0 < m < n."""
-        key = (k, m)
-        w = self._weights.get(key)
+        row = self._rows.get(k)
+        if row is None:
+            row = self._rows[k] = [None] * self.n
+        w = row[m]
         if w is None:
-            w = self.field.zeta_pow((k - 1) * m) * self._inv_qint[m] ** k
-            self._weights[key] = w
+            w = row[m] = self.field.zeta_pow((k - 1) * m) * self._inv_qint[m] ** k
         return w
 
-    def accumulator(self):
-        return _ExactAccumulator(self.zero)
+    def weight_row(self, k: int) -> list:
+        """w_k(1..n-1) as a new list."""
+        return [self.weight(k, m) for m in range(1, self.n)]
 
-    def mul(self, a, b):
-        return a * b
-
-
-class _ExactAccumulator:
-    __slots__ = ("value",)
-
-    def __init__(self, zero):
-        self.value = zero
-
-    def add(self, x):
-        self.value = self.value + x
+    def running_sums(self, values, inclusive: bool):
+        """Running sums of the list `values` through each position
+        (inclusive) or before it (exclusive), written over `values`, and
+        the total."""
+        total = self.zero
+        for i, v in enumerate(values):
+            new = total + v
+            values[i] = new if inclusive else total
+            total = new
+        return values, total
 
 
 class NumericBackend:
@@ -174,11 +175,11 @@ class NumericBackend:
 
     Powers of q are taken directly from cos/sin of the reduced phase, not
     by repeated multiplication, so there is no cumulative phase drift.
+    Weight rows are built per call; running sums are compensated.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.zero = 0j
         self.one = 1 + 0j
         qpow = [
             complex(math.cos(2 * math.pi * j / n), math.sin(2 * math.pi * j / n))
@@ -191,47 +192,21 @@ class NumericBackend:
             qm = (1 - qpow[m]) / one_minus_q
             inv.append(1 / qm)
         self._inv_qint = inv
-        self._weights: dict[tuple[int, int], complex] = {}
 
-    def weight(self, k: int, m: int) -> complex:
-        key = (k, m)
-        w = self._weights.get(key)
-        if w is None:
-            w = self._qpow[((k - 1) * m) % self.n] * self._inv_qint[m] ** k
-            self._weights[key] = w
-        return w
+    def weight_row(self, k: int) -> list:
+        """w_k(1..n-1) = q^((k-1)m) / [m]^k as a new list."""
+        n, qpow, inv = self.n, self._qpow, self._inv_qint
+        return [qpow[((k - 1) * m) % n] * inv[m] ** k for m in range(1, n)]
 
-    def accumulator(self):
-        return _KahanAccumulator()
-
-    def mul(self, a, b):
-        v = a * b
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+    def running_sums(self, values, inclusive: bool):
+        """Running sums as a new list, and the total, with Neumaier
+        compensation.  A non-finite value anywhere poisons the total,
+        which raises OverflowError."""
+        sums = compensated_sums(values)
+        total = sums[-1]
+        if not (math.isfinite(total.real) and math.isfinite(total.imag)):
             raise OverflowError("non-finite value in numeric evaluation")
-        return v
-
-
-class _KahanAccumulator:
-    """Neumaier compensated summation, separately on real and imaginary parts."""
-
-    __slots__ = ("sr", "cr", "si", "ci")
-
-    def __init__(self):
-        self.sr = self.cr = self.si = self.ci = 0.0
-
-    def add(self, x: complex):
-        for attr_s, attr_c, v in (("sr", "cr", x.real), ("si", "ci", x.imag)):
-            s = getattr(self, attr_s)
-            t = s + v
-            if abs(s) >= abs(v):
-                setattr(self, attr_c, getattr(self, attr_c) + (s - t) + v)
-            else:
-                setattr(self, attr_c, getattr(self, attr_c) + (v - t) + s)
-            setattr(self, attr_s, t)
-
-    @property
-    def value(self) -> complex:
-        return complex(self.sr + self.cr, self.si + self.ci)
+        return (sums[1:] if inclusive else sums[:-1]), total
 
 
 @functools.lru_cache(maxsize=64)
@@ -244,28 +219,28 @@ def numeric_backend(n: int) -> NumericBackend:
 
 
 def _evaluate(index: Index, n: int, backend, star: bool):
-    """Shared DP over chains.
+    """Shared DP over chains, one level at a time.
 
-    Accumulators T_1..T_r start at 0, T_(r+1) is the constant 1.  For
-    each m = 1..n-1 the update T_j += w_(k_j)(m) * T_(j+1) runs with j
-    ascending for strict chains (reads the pre-update neighbor) and j
-    descending for non-strict chains (reads the post-update neighbor).
-    Cost is O(n * depth) field operations.
+    The innermost level r sums the weight row w_(k_r)(1..n-1).  Every
+    outer level j multiplies w_(k_j)(m) by the running sum of level j+1
+    below m for strict chains (exclusive) or up to m for non-strict
+    chains (inclusive), and sums.  The value is the total of level 1.
+    Cost is O(n * depth) field operations.  Weight rows are fresh lists
+    and each level is computed in place, so an exact evaluation holds one
+    row of partial sums at a time.
     """
     r = index.depth
     if r == 0:
         return backend.one
     if n < 1:
         raise ValueError("n must be a positive integer")
-    acc = [backend.accumulator() for _ in range(r)]
-    parts = index.parts
-    js = range(r - 1, -1, -1) if star else range(r)
-    for m in range(1, n):
-        for j in js:
-            w = backend.weight(parts[j], m)
-            upper = backend.one if j == r - 1 else acc[j + 1].value
-            acc[j].add(backend.mul(w, upper))
-    return acc[0].value
+    *outer, innermost = index.parts
+    sums, total = backend.running_sums(backend.weight_row(innermost), star)
+    for k in reversed(outer):
+        for i, w in enumerate(backend.weight_row(k)):
+            sums[i] = w * sums[i]
+        sums, total = backend.running_sums(sums, star)
+    return total
 
 
 def z(index: Index, n: int, backend=None):
@@ -322,23 +297,22 @@ def profile_sum(profile: IndexProfile, n: int, star: bool = False) -> Fraction:
 
 def brute_force(index: Index, n: int, backend=None, star: bool = False):
     """Direct enumeration of all chains; the independent oracle for the DP."""
-    import itertools
-
     if backend is None:
         backend = exact_backend(n)
     r = index.depth
     if r == 0:
         return backend.one
-    total = backend.accumulator()
+    rows = {k: [None] + backend.weight_row(k) for k in set(index.parts)}
     chains = (
         itertools.combinations_with_replacement(range(1, n), r)
         if star
         else itertools.combinations(range(1, n), r)
     )
+    terms = []
     for chain in chains:
         ms = tuple(reversed(chain))  # descending: m_1 > ... > m_r
         term = backend.one
         for k, m in zip(index.parts, ms):
-            term = backend.mul(term, backend.weight(k, m))
-        total.add(term)
-    return total.value
+            term = term * rows[k][m]
+        terms.append(term)
+    return backend.running_sums(terms, True)[1]

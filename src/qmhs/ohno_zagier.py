@@ -391,6 +391,8 @@ def polylog(index: Index, n: int, star: bool = False) -> TPoly:
 def verify_lemma_3_2(n: int, weight_cap: int) -> list[VerificationReport]:
     """Check the q-difference recursions for every index of weight up to
     the cap, strict and non-strict, as exact polynomial identities."""
+    from .report import Stopwatch
+
     field = get_field(n)
     reports = []
     geom = TPoly(field, (field.one,) * (n - 1))  # (1 - t^(n-1)) / (1 - t)
@@ -403,14 +405,15 @@ def verify_lemma_3_2(n: int, weight_cap: int) -> list[VerificationReport]:
             for ix in enumerate_indices(k, r):
                 rest = Index(ix.parts[1:])
                 # strict version
-                lhs = dq(polylog(ix, n))
-                if ix.parts[0] >= 2:
-                    lowered = Index((ix.parts[0] - 1,) + ix.parts[1:])
-                    rhs = polylog(lowered, n).div_t_exact()
-                else:
-                    lr = polylog(rest, n)
-                    num = lr - TPoly.monomial(field, n - 1, lr.at_one())
-                    rhs = num.div_one_minus_t_exact()
+                with Stopwatch() as sw:
+                    lhs = dq(polylog(ix, n))
+                    if ix.parts[0] >= 2:
+                        lowered = Index((ix.parts[0] - 1,) + ix.parts[1:])
+                        rhs = polylog(lowered, n).div_t_exact()
+                    else:
+                        lr = polylog(rest, n)
+                        num = lr - TPoly.monomial(field, n - 1, lr.at_one())
+                        rhs = num.div_one_minus_t_exact()
                 rep = compare(
                     "polylog-dq",
                     {"n": n, "index": str(ix), "star": False},
@@ -418,20 +421,22 @@ def verify_lemma_3_2(n: int, weight_cap: int) -> list[VerificationReport]:
                     rhs,
                     render,
                 )
+                rep.micros = sw.micros
                 reports.append(rep)
                 # non-strict version; note the non-strict middle case carries
                 # t^n, not t^(n-1): the partial sums telescope one step further
                 # because m_2 = m_1 is allowed
-                lhs = dq(polylog(ix, n, star=True))
-                if ix.parts[0] >= 2:
-                    lowered = Index((ix.parts[0] - 1,) + ix.parts[1:])
-                    rhs = polylog(lowered, n, star=True).div_t_exact()
-                elif r >= 2:
-                    lr = polylog(rest, n, star=True)
-                    num = lr - TPoly.monomial(field, n, lr.at_one())
-                    rhs = num.div_one_minus_t_exact().div_t_exact()
-                else:
-                    rhs = geom
+                with Stopwatch() as sw:
+                    lhs = dq(polylog(ix, n, star=True))
+                    if ix.parts[0] >= 2:
+                        lowered = Index((ix.parts[0] - 1,) + ix.parts[1:])
+                        rhs = polylog(lowered, n, star=True).div_t_exact()
+                    elif r >= 2:
+                        lr = polylog(rest, n, star=True)
+                        num = lr - TPoly.monomial(field, n, lr.at_one())
+                        rhs = num.div_one_minus_t_exact().div_t_exact()
+                    else:
+                        rhs = geom
                 rep = compare(
                     "polylog-dq",
                     {"n": n, "index": str(ix), "star": True},
@@ -439,5 +444,6 @@ def verify_lemma_3_2(n: int, weight_cap: int) -> list[VerificationReport]:
                     rhs,
                     render,
                 )
+                rep.micros = sw.micros
                 reports.append(rep)
     return reports

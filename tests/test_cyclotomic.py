@@ -140,3 +140,36 @@ def test_render_parse_roundtrip():
             assert parse_cyclo(render_cyclo(a), field) == a
     assert render_cyclo(get_field(4).zero) == "0"
     assert render_cyclo(-get_field(4).zeta) == "-z"
+
+
+def _pow_base():
+    field = get_field(11)
+    return field, CycloElem(field, [Fraction(3, 2), -1, 0, 2, 0, 0, 5, 0, 0, -7])
+
+
+def test_pow_multiplication_count(monkeypatch):
+    # binary powering starts from the base and never squares past the
+    # top bit: e = 1, 2, 3 take 0, 1, 2 products
+    _, x = _pow_base()
+    calls = []
+    original = CycloElem.__mul__
+
+    def counting(a, b):
+        calls.append(None)
+        return original(a, b)
+
+    monkeypatch.setattr(CycloElem, "__mul__", counting)
+    for e, expected in ((1, 0), (2, 1), (3, 2)):
+        calls.clear()
+        x ** e
+        assert len(calls) == expected, e
+
+
+def test_pow_equals_repeated_multiplication():
+    field, x = _pow_base()
+    x_inv = x.inverse()
+    for e in range(-3, 10):
+        expected = field.one
+        for _ in range(abs(e)):
+            expected = expected * (x if e > 0 else x_inv)
+        assert x ** e == expected, e
