@@ -133,14 +133,6 @@ class Poly2:
             rem = rem - Poly2.term(qc, *qe) * divisor
         return Poly2(out)
 
-    def eval_y(self, value: Fraction) -> RatPoly:
-        """Substitute a rational for Y, leaving a polynomial in X."""
-        acc: dict = {}
-        for (dx, dy), c in self.coeffs.items():
-            acc[dx] = acc.get(dx, ZERO) + c * value**dy
-        top = max(acc) if acc else -1
-        return RatPoly([acc.get(i, ZERO) for i in range(top + 1)])
-
     def __repr__(self):
         return f"Poly2({self.coeffs!r})"
 
@@ -263,7 +255,7 @@ def exterior_F(k: int, l: int) -> Poly2:
 
 
 # ---------------------------------------------------------------------------
-# Truncated bivariate series built on Poly2 maps.
+# Truncated bivariate series log on Poly2 maps.
 
 
 def _p2_trunc(p: dict, xmax: int, ymax: int) -> dict:
@@ -274,68 +266,36 @@ def _p2_trunc(p: dict, xmax: int, ymax: int) -> dict:
     }
 
 
-def _p2_mul(a: dict, b: dict, xmax: int, ymax: int) -> dict:
-    out: dict = {}
-    for (x1, y1), c1 in a.items():
-        for (x2, y2), c2 in b.items():
-            dx, dy = x1 + x2, y1 + y2
-            if dx > xmax or dy > ymax:
-                continue
-            out[(dx, dy)] = out.get((dx, dy), ZERO) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
 def _p2_series_log(f: dict, xmax: int, ymax: int) -> dict:
-    """log f for a series with constant term 1, via integration in Y of
-    (df/dY) * f^(-1)."""
-    if f.get((0, 0)) != 1:
-        raise ValueError("series log requires constant term 1")
-    # invert f by back-substitution on Y-degree with X-truncated rows
+    """log f for a series whose Y^0 row is 1, truncated at X^xmax and
+    Y^ymax.  With g = log f, the derivative in Y gives f' = f * g', so
+    row by row in Y
+
+        g_d = f_d - (1/d) * sum_{0<j<d} j * g_j * f_(d-j),
+
+    each product truncated at X^xmax."""
     rows: dict[int, dict] = {}
     for (dx, dy), c in f.items():
-        rows.setdefault(dy, {})[dx] = c
-    inv_rows: dict[int, dict] = {0: _ratpoly_inv(rows.get(0, {0: ONE}), xmax)}
+        if c:
+            rows.setdefault(dy, {})[dx] = c
+    if rows.get(0) != {0: ONE}:
+        raise ValueError("series log requires the Y^0 row to be 1")
+    g: dict[int, dict] = {}
     for d in range(1, ymax + 1):
         acc: dict = {}
-        for j in range(1, d + 1):
-            fj = rows.get(j)
-            if not fj:
+        for j, gj in g.items():
+            fr = rows.get(d - j)
+            if not fr:
                 continue
-            gj = inv_rows.get(d - j)
-            if not gj:
-                continue
-            for a, ca in fj.items():
-                for b, cb in gj.items():
+            for a, ca in gj.items():
+                for b, cb in fr.items():
                     if a + b <= xmax:
-                        acc[a + b] = acc.get(a + b, ZERO) + ca * cb
-        base = inv_rows[0]
-        neg = {a: -c for a, c in acc.items() if c}
-        inv_rows[d] = _xpoly_mul(neg, base, xmax)
-    inv = {
-        (dx, dy): c for dy, row in inv_rows.items() for dx, c in row.items() if c
-    }
-    dfdy = {
-        (dx, dy - 1): c * dy for (dx, dy), c in f.items() if dy >= 1
-    }
-    prod = _p2_mul(dfdy, inv, xmax, ymax)
-    return {
-        (dx, dy + 1): c / (dy + 1) for (dx, dy), c in prod.items() if dy + 1 <= ymax
-    }
-
-
-def _ratpoly_inv(row: dict, xmax: int) -> dict:
-    coeffs = [row.get(i, ZERO) for i in range(xmax + 1)]
-    inv = series_inverse(coeffs, xmax + 1)
-    return {i: c for i, c in enumerate(inv) if c}
-
-
-def _xpoly_mul(a: dict, b: dict, xmax: int) -> dict:
-    out: dict = {}
-    for i, ca in a.items():
-        for j, cb in b.items():
-            if i + j <= xmax:
-                out[i + j] = out.get(i + j, ZERO) + ca * cb
-    return {i: c for i, c in out.items() if c}
+                        acc[a + b] = acc.get(a + b, ZERO) + j * ca * cb
+        row = dict(rows.get(d, {}))
+        for a, c in acc.items():
+            row[a] = row.get(a, ZERO) - c / d
+        g[d] = {a: c for a, c in row.items() if c}
+    return {(dx, dy): c for dy, row in g.items() for dx, c in row.items()}
 
 
 def kkk_general(k: int, n_max: int, r_max: int) -> dict[tuple[int, int], Fraction]:

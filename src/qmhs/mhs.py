@@ -85,10 +85,6 @@ class IndexProfile:
     depth: int
     height: int
 
-    def admits_indices(self) -> bool:
-        k, r, s = self.weight, self.depth, self.height
-        return r >= s >= 0 and k >= r + s and (r > 0 or k == 0)
-
 
 def enumerate_indices(weight: int, depth: int, height: int | None = None,
                       admissible: bool = False):
@@ -126,9 +122,10 @@ def enumerate_profile(profile: IndexProfile, admissible: bool = False):
 class ExactBackend:
     """Value field Q(zeta_n) with q = zeta_n.
 
-    Precomputes the inverse q-integers once; weights q^((k-1)m) / [m]^k
-    are cached in one row per k, filled on demand.  All cached values are
-    immutable.
+    Precomputes (1 - zeta^m)^(-1) in closed form and the inverse
+    q-integers once; the chain weights q^((k-1)m) / [m]^k and the
+    polylogarithm weights (1 - zeta^m)^(-k) are cached in one row per k,
+    filled on demand.  All cached values are immutable.
     """
 
     def __init__(self, n: int):
@@ -136,13 +133,12 @@ class ExactBackend:
         self.field = get_field(n)
         self.zero = self.field.zero
         self.one = self.field.one
-        # [m]^(-1) = (1 - zeta) (1 - zeta^m)^(-1), the second factor in
-        # closed form
+        inv_one_minus = [self.field.inv_one_minus_zeta_pow(m) for m in range(1, n)]
+        # [m]^(-1) = (1 - zeta) (1 - zeta^m)^(-1)
         one_minus_zeta = self.one - self.field.zeta
-        self._inv_qint = [None] + [
-            one_minus_zeta * self.field.inv_one_minus_zeta_pow(m) for m in range(1, n)
-        ]
+        self._inv_qint = [None] + [one_minus_zeta * x for x in inv_one_minus]
         self._rows: dict[int, list] = {}
+        self._polylog_rows: dict[int, list] = {1: inv_one_minus}
 
     def weight(self, k: int, m: int) -> CycloElem:
         """q^((k-1)m) / [m]^k as a field element, 0 < m < n."""
@@ -157,6 +153,14 @@ class ExactBackend:
     def weight_row(self, k: int) -> list:
         """w_k(1..n-1) as a new list."""
         return [self.weight(k, m) for m in range(1, self.n)]
+
+    def polylog_row(self, k: int) -> list:
+        """(1 - zeta^m)^(-k) for m = 1..n-1 as a new list; each row is
+        built once."""
+        row = self._polylog_rows.get(k)
+        if row is None:
+            row = self._polylog_rows[k] = [x ** k for x in self._polylog_rows[1]]
+        return list(row)
 
     def running_sums(self, values, inclusive: bool):
         """Running sums of the list `values` through each position
@@ -218,29 +222,34 @@ def numeric_backend(n: int) -> NumericBackend:
     return NumericBackend(n)
 
 
-def _evaluate(index: Index, n: int, backend, star: bool):
-    """Shared DP over chains, one level at a time.
+def _outer_terms(parts: tuple, backend, star: bool, weight_row) -> list:
+    """The chain DP, one level at a time, up to the outermost level.
 
-    The innermost level r sums the weight row w_(k_r)(1..n-1).  Every
-    outer level j multiplies w_(k_j)(m) by the running sum of level j+1
-    below m for strict chains (exclusive) or up to m for non-strict
-    chains (inclusive), and sums.  The value is the total of level 1.
-    Cost is O(n * depth) field operations.  Weight rows are fresh lists
-    and each level is computed in place, so an exact evaluation holds one
-    row of partial sums at a time.
+    The innermost level r is the weight row w_(k_r)(1..n-1).  Every level
+    j < r multiplies w_(k_j)(m) by the running sum of the level below,
+    taken below m for strict chains (exclusive) or up to m for non-strict
+    chains (inclusive).  Returns the terms w_(k_1)(m) * S_2(m) of level 1
+    for m = 1..n-1, with `weight_row(k)` giving the rows as new lists.
+    Each level is computed in place, so an exact evaluation holds one row
+    of partial sums at a time.
     """
-    r = index.depth
-    if r == 0:
+    terms = weight_row(parts[-1])
+    for k in reversed(parts[:-1]):
+        terms, _ = backend.running_sums(terms, star)
+        for i, w in enumerate(weight_row(k)):
+            terms[i] = w * terms[i]
+    return terms
+
+
+def _evaluate(index: Index, n: int, backend, star: bool):
+    """Shared chain DP: the total of the outermost level's terms.  Cost is
+    O(n * depth) field operations."""
+    if index.depth == 0:
         return backend.one
     if n < 1:
         raise ValueError("n must be a positive integer")
-    *outer, innermost = index.parts
-    sums, total = backend.running_sums(backend.weight_row(innermost), star)
-    for k in reversed(outer):
-        for i, w in enumerate(backend.weight_row(k)):
-            sums[i] = w * sums[i]
-        sums, total = backend.running_sums(sums, star)
-    return total
+    terms = _outer_terms(index.parts, backend, star, backend.weight_row)
+    return backend.running_sums(terms, star)[1]
 
 
 def z(index: Index, n: int, backend=None):

@@ -5,7 +5,7 @@ carry weights (1, 1, 2).  A series stores only monomials of weight at
 most its cap, sparsely, and every operation truncates at the cap.
 Coefficients live in an abstract field: the rationals or a cyclotomic
 field, anything providing zero/one/from_rational and elements with
-+, -, *, inversion and truth testing.
++, -, *, inversion by `** -1` and truth testing.
 """
 
 from __future__ import annotations
@@ -42,13 +42,6 @@ RATIONALS = RationalField()
 
 def monomial_weight(exps: tuple[int, int, int]) -> int:
     return exps[0] + exps[1] + 2 * exps[2]
-
-
-def _inv(field, elem):
-    """Field inverse, for Fraction or cyclotomic coefficients."""
-    if hasattr(elem, "inverse"):
-        return elem.inverse()
-    return field.one / elem
 
 
 class MultiSeries:
@@ -188,7 +181,7 @@ class MultiSeries:
         c0 = self.constant_term()
         if not c0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        inv0 = _inv(self.field, c0)
+        inv0 = c0 ** -1
         layers = self.by_weight()
         out: dict[int, dict] = {0: {(0, 0, 0): inv0}}
         for w in range(1, self.cap + 1):

@@ -15,8 +15,14 @@ from fractions import Fraction
 from math import comb
 
 from .cyclotomic import CycloElem, CycloField, get_field
-from .exactnum import ONE, ZERO
-from .mhs import Index, IndexProfile, enumerate_indices, profile_sum
+from .mhs import (
+    Index,
+    IndexProfile,
+    _outer_terms,
+    enumerate_indices,
+    exact_backend,
+    profile_sum,
+)
 from .multiseries import RATIONALS, MultiSeries, ms_substitute, render_series
 from .report import FAIL, PASS, VerificationReport, compare
 
@@ -314,13 +320,6 @@ class TPoly:
     def __sub__(self, other: "TPoly") -> "TPoly":
         return self + (-other)
 
-    def scale(self, c: CycloElem) -> "TPoly":
-        return TPoly(self.field, (ci * c for ci in self.coeffs))
-
-    def shift(self, by: int) -> "TPoly":
-        """Multiply by t^by."""
-        return TPoly(self.field, (self.field.zero,) * by + self.coeffs)
-
     def at_one(self) -> CycloElem:
         acc = self.field.zero
         for c in self.coeffs:
@@ -359,33 +358,16 @@ def dq(p: TPoly) -> TPoly:
 def polylog(index: Index, n: int, star: bool = False) -> TPoly:
     """Truncated polylogarithm: the polynomial in t of degree < n whose
     t^(m1) coefficient sums 1 / prod (1 - q^(m_i))^(k_i) over chains
-    below m1.  Strict chains by default, non-strict with star."""
-    field = get_field(n)
-    r = index.depth
-    if r == 0:
-        return TPoly.one(field)
-    inv = [None] + [field.inv_one_minus_zeta_pow(m) for m in range(1, n)]
+    below m1.  Strict chains by default, non-strict with star.
 
-    def w(k: int, m: int) -> CycloElem:
-        return inv[m] ** k
-
-    parts = index.parts
-    # T[j] for j = 2..r+1 accumulate the sub-chain sums; T[r+1] = 1
-    acc = [field.zero] * (r + 2)
-    acc[r + 1] = field.one
-    coeffs = [field.zero] * n
-    for m in range(1, n):
-        if star:
-            for j in range(r, 1, -1):
-                acc[j] = acc[j] + w(parts[j - 1], m) * acc[j + 1]
-            upper = acc[2] if r >= 2 else field.one
-            coeffs[m] = w(parts[0], m) * upper
-        else:
-            upper = acc[2] if r >= 2 else field.one
-            coeffs[m] = w(parts[0], m) * upper
-            for j in range(2, r + 1):
-                acc[j] = acc[j] + w(parts[j - 1], m) * acc[j + 1]
-    return TPoly(field, coeffs)
+    The coefficients are the outermost level of the chain DP of `mhs`,
+    with the weights (1 - q^m)^(-k) in place of q^((k-1)m) / [m]^k.
+    """
+    if index.depth == 0:
+        return TPoly.one(get_field(n))
+    backend = exact_backend(n)
+    terms = _outer_terms(index.parts, backend, star, backend.polylog_row)
+    return TPoly(backend.field, [backend.zero] + terms)
 
 
 def verify_lemma_3_2(n: int, weight_cap: int) -> list[VerificationReport]:

@@ -6,6 +6,7 @@ import pytest
 
 from qmhs.closedforms import (
     Poly2,
+    _p2_series_log,
     bareiss_det,
     conjecture_check,
     depth_one_bar,
@@ -101,6 +102,47 @@ def test_kkk_general_matches_direct_sums():
             for r in range(1, 4):
                 got = zbar(Index.repeat(k, r), n).rational_part()
                 assert got == table[(n, r)], (k, n, r)
+
+
+def _truncated_product(a, b, xmax, ymax):
+    out = {}
+    for (x1, y1), c1 in a.items():
+        for (x2, y2), c2 in b.items():
+            e = (x1 + x2, y1 + y2)
+            if e[0] <= xmax and e[1] <= ymax:
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def test_series_log_turns_products_into_sums():
+    rng = random.Random(61)
+    xmax, ymax = 3, 5
+
+    def random_series():
+        f = {(0, 0): Fraction(1)}
+        for _ in range(6):
+            e = (rng.randint(0, xmax), rng.randint(1, ymax))
+            f[e] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return {e: c for e, c in f.items() if c}
+
+    for _ in range(10):
+        f, g = random_series(), random_series()
+        lhs = _p2_series_log(_truncated_product(f, g, xmax, ymax), xmax, ymax)
+        rhs = dict(_p2_series_log(f, xmax, ymax))
+        for e, c in _p2_series_log(g, xmax, ymax).items():
+            rhs[e] = rhs.get(e, 0) + c
+        assert lhs == {e: c for e, c in rhs.items() if c}
+    # log (1 - Y) = -sum Y^d / d
+    assert _p2_series_log({(0, 0): 1, (0, 1): -1}, 0, 4) == {
+        (0, d): Fraction(-1, d) for d in range(1, 5)
+    }
+
+
+def test_series_log_rejects_y0_row_other_than_one():
+    with pytest.raises(ValueError):
+        _p2_series_log({(0, 0): 1, (1, 0): 1}, 3, 3)
+    with pytest.raises(ValueError):
+        _p2_series_log({(0, 0): 2, (0, 1): 1}, 3, 3)
 
 
 def test_poly2_arithmetic_and_exact_division():

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from qmhs.cyclotomic import get_field
-from qmhs.mhs import Index, enumerate_indices, zbar
+from qmhs.cyclotomic import CycloElem, get_field
+from qmhs.mhs import Index, enumerate_indices, exact_backend, zbar
 from qmhs.multiseries import MultiSeries, ms_substitute
 from qmhs.ohno_zagier import (
     TPoly,
@@ -164,3 +164,67 @@ def test_tpoly_exact_division_guards():
         TPoly.one(f3).div_t_exact()
     with pytest.raises(ValueError):
         TPoly(f3, (f3.one, f3.one)).div_one_minus_t_exact()
+
+
+def m_major_polylog(index, n, star=False):
+    """The former polylog recursion, kept as the oracle: one accumulator
+    per chain level, all updated for each m in turn (levels ascending for
+    strict chains, descending for non-strict ones), with the weights
+    (1 - zeta^m)^(-k) recomputed on every use."""
+    field = get_field(n)
+    r = index.depth
+    if r == 0:
+        return TPoly.one(field)
+    inv = [None] + [field.inv_one_minus_zeta_pow(m) for m in range(1, n)]
+
+    def w(k, m):
+        return inv[m] ** k
+
+    parts = index.parts
+    acc = [field.zero] * (r + 2)
+    acc[r + 1] = field.one
+    coeffs = [field.zero] * n
+    for m in range(1, n):
+        if star:
+            for j in range(r, 1, -1):
+                acc[j] = acc[j] + w(parts[j - 1], m) * acc[j + 1]
+            upper = acc[2] if r >= 2 else field.one
+            coeffs[m] = w(parts[0], m) * upper
+        else:
+            upper = acc[2] if r >= 2 else field.one
+            coeffs[m] = w(parts[0], m) * upper
+            for j in range(2, r + 1):
+                acc[j] = acc[j] + w(parts[j - 1], m) * acc[j + 1]
+    return TPoly(field, coeffs)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_polylog_matches_m_major_oracle(n):
+    for k in range(0, 6):
+        for r in range(0, k + 1):
+            for ix in enumerate_indices(k, r):
+                for star in (False, True):
+                    assert polylog(ix, n, star) == m_major_polylog(ix, n, star), (ix, star)
+
+
+def test_polylog_builds_each_weight_row_once(monkeypatch):
+    n = 7
+    exact_backend.cache_clear()
+    calls = []
+    pow_ = CycloElem.__pow__
+
+    def counting_pow(self, e):
+        calls.append(e)
+        return pow_(self, e)
+
+    monkeypatch.setattr(CycloElem, "__pow__", counting_pow)
+    first = polylog(Index((2, 1, 3)), n)
+    # one power per m for each of the rows k = 2 and k = 3; row 1 is the
+    # closed-form inverse itself
+    assert sorted(calls) == [2] * (n - 1) + [3] * (n - 1)
+    calls.clear()
+    second = polylog(Index((3, 2, 1, 3)), n, star=True)
+    assert calls == []
+    monkeypatch.undo()
+    assert first == m_major_polylog(Index((2, 1, 3)), n)
+    assert second == m_major_polylog(Index((3, 2, 1, 3)), n, star=True)
