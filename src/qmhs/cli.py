@@ -1,9 +1,11 @@
 """Command-line interface: compute values, run verification suites,
 emit tables, and probe the conjectured identities.
 
-Exit codes: 0 all passed, 1 verification failure, 2 invalid input,
-3 output I/O failure.  Exact values are always serialized as strings;
-JSON numbers cannot carry big rationals losslessly.
+Exit codes: 0 all passed, 1 verification failure, 2 invalid input or a
+numeric overflow, 3 output I/O failure, 4 out of memory, 130 interrupted.
+Each error prints one `error:` line to stderr and no traceback.  Exact
+values are always serialized as strings; JSON numbers cannot carry big
+rationals losslessly.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_IO_FAIL = 3
+EXIT_OUT_OF_MEMORY = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 def render_complex(v: complex) -> str:
@@ -262,9 +266,15 @@ def main(argv=None) -> int:
     except _IOFailure as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO_FAIL
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

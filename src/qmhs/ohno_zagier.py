@@ -1,16 +1,19 @@
 """Weight/depth/height generating functions at a root of unity and the
 kernel that evaluates them in closed form.
 
-Everything here is coefficient-exact: the brute-force generating function
-assembles profile sums from the nested-sum engine, the kernel expands a
-binomial double sum, and the two must agree monomial by monomial.  The
-product and recurrence routes for the one-variable generating function
-serve as mutual oracles, and the q-difference recursions of the truncated
-polylogarithms are checked as polynomial identities.
+Everything here is coefficient-exact: the generating function of profile
+sums is built in one pass as a product over m (with the brute-force
+assembly from the nested-sum engine kept as its oracle), the kernel
+expands a binomial double sum, and the two must agree monomial by
+monomial.  The product and recurrence routes for the one-variable
+generating function serve as mutual oracles, and the q-difference
+recursions of the truncated polylogarithms are checked as polynomial
+identities.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import comb
 
@@ -107,6 +110,47 @@ def f_bruteforce(n: int, cap: int, star: bool = False) -> MultiSeries:
     return MultiSeries(RATIONALS, cap, coeffs)
 
 
+@functools.lru_cache(maxsize=16)
+def f_series(n: int, cap: int, star: bool = False) -> MultiSeries:
+    """The series of `f_bruteforce`, built in one pass over m = 1..n-1.
+
+    A part p at chain position m contributes w^_p(m) * mono(p), where
+    w^_p(m) = q^((p-1)m) (1 - q^m)^(-p) is the chain weight with the
+    (1 - q)^(-p) of the modified value cancelled, mono(1) = y and
+    mono(p) = x^(p-2) z; the monomial weight of mono(p) is p.  With
+    g_m = sum_(p<=cap) w^_p(m) mono(p), strict chains give
+    prod_m (1 + g_m) and non-strict chains prod_m (1 - g_m)^(-1).  Both
+    are the same update of the weight layers, F[w] += sum_p g_p F[w - p]:
+    taken from the top weight down it reads the old lower layers (times
+    1 + g_m), from the bottom up the new ones (solving F' = F + g_m F').
+
+    Coefficients must come out rational; `to_rational` raises otherwise.
+    The cached result is shared between callers; like every MultiSeries,
+    it is treated as immutable.
+    """
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    field = get_field(n)
+    backend = exact_backend(n)
+    layers = [{(0, 0, 0): field.one}] + [{} for _ in range(cap)]
+    monos = [None, (0, 1, 0)] + [(p - 2, 0, 1) for p in range(2, cap + 1)]
+    rows = [None] + [backend.polylog_row(p) for p in range(1, cap + 1)]
+    order = range(1, cap + 1) if star else range(cap, 0, -1)
+    for m in range(1, n):
+        g = [None] + [field.zeta_pow((p - 1) * m) * rows[p][m - 1]
+                      for p in range(1, cap + 1)]
+        for w in order:
+            layer = layers[w]
+            for p in range(1, w + 1):
+                (a, b, c), gp = monos[p], g[p]
+                for (ea, eb, ec), v in layers[w - p].items():
+                    e = (ea + a, eb + b, ec + c)
+                    prev = layer.get(e)
+                    layer[e] = gp * v if prev is None else prev + gp * v
+    merged = {e: v for layer in layers for e, v in layer.items()}
+    return MultiSeries(field, cap, merged).to_rational()
+
+
 def verify_theorem_1_2(n: int, cap: int) -> VerificationReport:
     """Both generating-function identities at level n, coefficient-exactly:
     the strict series equals the kernel and the non-strict series equals
@@ -114,9 +158,9 @@ def verify_theorem_1_2(n: int, cap: int) -> VerificationReport:
     from .report import Stopwatch
 
     with Stopwatch() as sw:
-        f_plain = f_bruteforce(n, cap, star=False)
+        f_plain = f_series(n, cap, False)
         u_plain = u_kernel(n, cap)
-        f_star = f_bruteforce(n, cap, star=True)
+        f_star = f_series(n, cap, True)
         u_star = u_kernel_star(n, cap)
         ok = f_plain == u_plain and f_star == u_star
     return VerificationReport(
@@ -132,18 +176,19 @@ def verify_theorem_1_2(n: int, cap: int) -> VerificationReport:
 def sum_formula_check(n: int, k: int, r: int) -> VerificationReport:
     """Weight-depth sum formula: the sum of modified values over all
     indices of weight k and depth r equals
-    sum_{j=1..r} (1/n) C(n, j) zbar(k+1-j)."""
+    sum_{j=1..r} (1/n) C(n, j) zbar(k+1-j).  The left side adds the
+    profile sums of weight k and depth r read from `f_series`."""
     if not (k >= r and n > r > 0):
         raise ValueError("requires k >= r and n > r > 0")
     from .mhs import zbar
     from .report import Stopwatch
 
     with Stopwatch() as sw:
-        field = get_field(n)
-        lhs = field.zero
-        for ix in enumerate_indices(k, r):
-            lhs = lhs + zbar(ix, n)
-        lhs_q = lhs.rational_part()
+        series = f_series(n, k, False)
+        lhs_q = sum(
+            (series.coefficient(k - r - s, r - s, s) for s in range(min(r, k - r) + 1)),
+            Fraction(0),
+        )
         rhs_q = sum(
             (
                 Fraction(comb(n, j), n) * zbar(Index((k + 1 - j,)), n).rational_part()
@@ -242,7 +287,7 @@ def verify_prop_3_3(n: int, cap: int) -> list[VerificationReport]:
         field = get_field(n)
         u, v, w = transform_images(cap, field)
         substituted = ms_substitute(prod, u, v, w).to_rational()
-        target = f_bruteforce(n, cap, star=False)
+        target = f_series(n, cap, False)
     rep = compare(
         "phi-substitution", {"n": n, "cap": cap}, substituted, target, render_series
     )
@@ -372,12 +417,21 @@ def polylog(index: Index, n: int, star: bool = False) -> TPoly:
 
 def verify_lemma_3_2(n: int, weight_cap: int) -> list[VerificationReport]:
     """Check the q-difference recursions for every index of weight up to
-    the cap, strict and non-strict, as exact polynomial identities."""
+    the cap, strict and non-strict, as exact polynomial identities.  Each
+    polylogarithm is evaluated once per call, however many recursions use
+    it."""
     from .report import Stopwatch
 
     field = get_field(n)
     reports = []
     geom = TPoly(field, (field.one,) * (n - 1))  # (1 - t^(n-1)) / (1 - t)
+    seen: dict = {}
+
+    def pl(index: Index, star: bool = False) -> TPoly:
+        key = (index.parts, star)
+        if key not in seen:
+            seen[key] = polylog(index, n, star)
+        return seen[key]
 
     def render(p: TPoly) -> str:
         return " ; ".join(str(c) for c in p.coeffs) if p else "0"
@@ -388,12 +442,12 @@ def verify_lemma_3_2(n: int, weight_cap: int) -> list[VerificationReport]:
                 rest = Index(ix.parts[1:])
                 # strict version
                 with Stopwatch() as sw:
-                    lhs = dq(polylog(ix, n))
+                    lhs = dq(pl(ix))
                     if ix.parts[0] >= 2:
                         lowered = Index((ix.parts[0] - 1,) + ix.parts[1:])
-                        rhs = polylog(lowered, n).div_t_exact()
+                        rhs = pl(lowered).div_t_exact()
                     else:
-                        lr = polylog(rest, n)
+                        lr = pl(rest)
                         num = lr - TPoly.monomial(field, n - 1, lr.at_one())
                         rhs = num.div_one_minus_t_exact()
                 rep = compare(
@@ -409,12 +463,12 @@ def verify_lemma_3_2(n: int, weight_cap: int) -> list[VerificationReport]:
                 # t^n, not t^(n-1): the partial sums telescope one step further
                 # because m_2 = m_1 is allowed
                 with Stopwatch() as sw:
-                    lhs = dq(polylog(ix, n, star=True))
+                    lhs = dq(pl(ix, star=True))
                     if ix.parts[0] >= 2:
                         lowered = Index((ix.parts[0] - 1,) + ix.parts[1:])
-                        rhs = polylog(lowered, n, star=True).div_t_exact()
+                        rhs = pl(lowered, star=True).div_t_exact()
                     elif r >= 2:
-                        lr = polylog(rest, n, star=True)
+                        lr = pl(rest, star=True)
                         num = lr - TPoly.monomial(field, n, lr.at_one())
                         rhs = num.div_one_minus_t_exact().div_t_exact()
                     else:

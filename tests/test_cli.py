@@ -193,6 +193,29 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "exc, code, message",
+    [
+        (OverflowError("non-finite value in numeric evaluation"), 2,
+         "error: non-finite value in numeric evaluation"),
+        (MemoryError(), 4, "error: out of memory"),
+        (KeyboardInterrupt(), 130, "error: interrupted"),
+    ],
+    ids=["overflow", "memory", "interrupt"],
+)
+def test_resource_errors_map_to_exit_codes(capsys, monkeypatch, exc, code, message):
+    from qmhs import cli
+
+    def raising(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_compute", raising)
+    got, out, err = run_cli(capsys, "compute", "--index", "2", "--n", "4")
+    assert got == code
+    assert out == ""
+    assert err.splitlines() == [message]
+
+
 def test_conjecture_reports(tmp_path, capsys):
     target = tmp_path / "family1.json"
     code, _, _ = run_cli(

@@ -4,11 +4,13 @@ import pytest
 
 from qmhs.cyclotomic import CycloElem, get_field
 from qmhs.mhs import Index, enumerate_indices, exact_backend, zbar
+from qmhs import ohno_zagier
 from qmhs.multiseries import MultiSeries, ms_substitute
 from qmhs.ohno_zagier import (
     TPoly,
     dq,
     f_bruteforce,
+    f_series,
     flip_yz,
     phi_product,
     phi_recurrence,
@@ -228,3 +230,45 @@ def test_polylog_builds_each_weight_row_once(monkeypatch):
     monkeypatch.undo()
     assert first == m_major_polylog(Index((2, 1, 3)), n)
     assert second == m_major_polylog(Index((3, 2, 1, 3)), n, star=True)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_f_series_matches_bruteforce(n):
+    for cap in range(0, 8):
+        for star in (False, True):
+            assert f_series(n, cap, star) == f_bruteforce(n, cap, star), (cap, star)
+
+
+def test_f_series_matches_kernels_at_16_10():
+    assert f_series(16, 10, False) == u_kernel(16, 10)
+    assert f_series(16, 10, True) == u_kernel_star(16, 10)
+
+
+def test_sum_formula_lhs_matches_per_index_zbar_sum():
+    for n in range(2, 9):
+        for k in range(1, 9):
+            for r in range(1, min(k, n - 1) + 1):
+                total = get_field(n).zero
+                for ix in enumerate_indices(k, r):
+                    total = total + zbar(ix, n)
+                rep = sum_formula_check(n, k, r)
+                assert rep.lhs == str(total.rational_part()), (n, k, r)
+                assert rep.status == "pass", (n, k, r)
+
+
+def test_f_series_cache_is_bounded():
+    assert f_series.cache_info().maxsize is not None
+
+
+def test_lemma_3_2_evaluates_each_polylog_once(monkeypatch):
+    calls = []
+    original = ohno_zagier.polylog
+
+    def counting_polylog(index, n, star=False):
+        calls.append((index.parts, star))
+        return original(index, n, star)
+
+    monkeypatch.setattr(ohno_zagier, "polylog", counting_polylog)
+    reports = verify_lemma_3_2(7, 5)
+    assert len(calls) == len(set(calls)) == 63
+    assert len(reports) == 62 and all(r.status == "pass" for r in reports)

@@ -1,4 +1,5 @@
-"""Property-based checks (hypothesis) of the field and the chain DP."""
+"""Property-based checks (hypothesis) of the field, the chain DP and the
+truncated series."""
 
 from fractions import Fraction
 from math import gcd
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from qmhs.cyclotomic import CycloElem, get_field, parse_cyclo, render_cyclo
 from qmhs.mhs import Index, brute_force, z, z_star
+from qmhs.multiseries import RATIONALS, MultiSeries, monomial_weight, ms_substitute
 
 FIELD_NS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15)
 
@@ -69,3 +71,62 @@ def test_dp_equals_brute_force(parts, n, star):
     index = Index(parts)
     value = z_star(index, n) if star else z(index, n)
     assert value == brute_force(index, n, star=star)
+
+
+SERIES_CAP = 4
+MONOMIALS = [
+    (a, b, c)
+    for a in range(SERIES_CAP + 1)
+    for b in range(SERIES_CAP + 1)
+    for c in range(SERIES_CAP // 2 + 1)
+    if a + b + 2 * c <= SERIES_CAP
+]
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@st.composite
+def series_fields(draw):
+    """The rationals or a small cyclotomic field, with a strategy for its
+    elements."""
+    n = draw(st.sampled_from((None, 3, 4, 5, 7)))
+    if n is None:
+        return RATIONALS, small_rationals
+    field = get_field(n)
+    vec = st.lists(small_rationals, min_size=field.degree, max_size=field.degree)
+    return field, vec.map(lambda cs: CycloElem(field, cs))
+
+
+def series(draw, field, elems, cap, min_weight=0, unit=False):
+    """A random series over the field: a few monomials of weight at least
+    `min_weight`, and with `unit` a nonzero constant term."""
+    monos = [e for e in MONOMIALS if min_weight <= monomial_weight(e) <= cap]
+    picked = draw(st.lists(st.sampled_from(monos), max_size=4, unique=True)) if monos else []
+    coeffs = {e: draw(elems) for e in picked}
+    if unit:
+        coeffs[(0, 0, 0)] = draw(elems.filter(bool))
+    return MultiSeries(field, cap, coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_fields(), st.integers(0, SERIES_CAP), st.data())
+def test_series_times_inverse_is_one(fe, cap, data):
+    field, elems = fe
+    s = series(data.draw, field, elems, cap, unit=True)
+    assert s * s.invert() == MultiSeries.constant(1, cap, field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_fields(), st.integers(0, SERIES_CAP), st.data())
+def test_substitution_is_a_ring_homomorphism(fe, cap, data):
+    field, elems = fe
+    f, g = (series(data.draw, field, elems, cap) for _ in range(2))
+    # valid images: no constant term and valuation at least the weight of
+    # the variable replaced (1 for u and v, 2 for w)
+    u, v, w = (series(data.draw, field, elems, cap, min_weight=wt) for wt in (1, 1, 2))
+
+    def sub(h):
+        return ms_substitute(h, u, v, w)
+
+    assert sub(f * g) == sub(f) * sub(g)
+    assert sub(f + g) == sub(f) + sub(g)
+    assert sub(MultiSeries.constant(1, cap, field)) == MultiSeries.constant(1, cap, field)
