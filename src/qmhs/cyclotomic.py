@@ -22,7 +22,7 @@ from fractions import Fraction
 from .exactnum import ONE, RatPoly, poly_xgcd
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def cyclotomic_polynomial(n: int) -> RatPoly:
     """n-th cyclotomic polynomial, via (x^n - 1) / prod of proper divisors."""
     if n < 1:
@@ -154,16 +154,16 @@ class CycloField:
         return f"CycloField({self.n})"
 
 
-def compensated_sums(values) -> list[complex]:
-    """Running sums 0, v_1, v_1 + v_2, ... of complex values, with Neumaier
-    compensation on the real and on the imaginary part: the rounding error
-    of each step, c += (s - t) + v with the larger magnitude first, is
-    carried alongside and added back in every sum (A. Neumaier, ZAMM 54,
-    1974)."""
+def compensated_sums(values: list, inclusive: bool) -> complex:
+    """Running sums of a list of complex values, written over the list,
+    and their total.  Position i gets the sum through v_i (inclusive) or
+    before it (exclusive).  Neumaier compensation runs on the real and on
+    the imaginary part: the rounding error of each step,
+    c += (s - t) + v with the larger magnitude first, is carried
+    alongside and added back in every sum (A. Neumaier, ZAMM 54, 1974)."""
     sr = cr = si = ci = 0.0
-    out = [0j]
-    append = out.append
-    for v in values:
+    total = 0j
+    for i, v in enumerate(values):
         x = v.real
         t = sr + x
         if abs(sr) >= abs(x):
@@ -178,11 +178,13 @@ def compensated_sums(values) -> list[complex]:
         else:
             ci += (x - t) + si
         si = t
-        append(complex(sr + cr, si + ci))
-    return out
+        new = complex(sr + cr, si + ci)
+        values[i] = new if inclusive else total
+        total = new
+    return total
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def get_field(n: int) -> CycloField:
     return CycloField(n)
 
@@ -335,12 +337,12 @@ class CycloElem:
         """
         n = self.field.n
         den = self.den
-        terms = (
+        terms = [
             complex(c / den * math.cos(2 * math.pi * j / n),
                     c / den * math.sin(2 * math.pi * j / n))
             for j, c in enumerate(self.num) if c
-        )
-        return compensated_sums(terms)[-1]
+        ]
+        return compensated_sums(terms, True)
 
     def __repr__(self) -> str:
         return f"CycloElem(n={self.field.n}, {render_cyclo(self)!r})"

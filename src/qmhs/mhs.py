@@ -150,28 +150,28 @@ class ExactBackend:
             w = row[m] = self.field.zeta_pow((k - 1) * m) * self._inv_qint[m] ** k
         return w
 
-    def weight_row(self, k: int) -> list:
-        """w_k(1..n-1) as a new list."""
-        return [self.weight(k, m) for m in range(1, self.n)]
+    def weight_row(self, k: int):
+        """Yields w_k(m) for m = 1..n-1."""
+        return (self.weight(k, m) for m in range(1, self.n))
 
     def polylog_row(self, k: int) -> list:
-        """(1 - zeta^m)^(-k) for m = 1..n-1 as a new list; each row is
-        built once."""
+        """(1 - zeta^m)^(-k) for m = 1..n-1; each row is built once and
+        shared, so callers must not write to it."""
         row = self._polylog_rows.get(k)
         if row is None:
             row = self._polylog_rows[k] = [x ** k for x in self._polylog_rows[1]]
-        return list(row)
+        return row
 
     def running_sums(self, values, inclusive: bool):
         """Running sums of the list `values` through each position
-        (inclusive) or before it (exclusive), written over `values`, and
-        the total."""
+        (inclusive) or before it (exclusive), written over `values`;
+        returns the total."""
         total = self.zero
         for i, v in enumerate(values):
             new = total + v
             values[i] = new if inclusive else total
             total = new
-        return values, total
+        return total
 
 
 class NumericBackend:
@@ -179,38 +179,37 @@ class NumericBackend:
 
     Powers of q are taken directly from cos/sin of the reduced phase, not
     by repeated multiplication, so there is no cumulative phase drift.
-    Weight rows are built per call; running sums are compensated.
+    The tables of q^j and of the inverse q-integers are built once, in
+    the constructor, and never written afterwards, so one backend can be
+    shared by every evaluation at level n.  Weight rows are streamed from
+    them; running sums are compensated and taken in place.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.one = 1 + 0j
-        qpow = [
-            complex(math.cos(2 * math.pi * j / n), math.sin(2 * math.pi * j / n))
-            for j in range(n)
-        ]
+        two_pi, cos, sin = 2 * math.pi, math.cos, math.sin
+        qpow = [complex(cos(t), sin(t)) for t in (two_pi * j / n for j in range(n))]
         self._qpow = qpow
+        # [m]^(-1) = 1 / ((1 - q^m) / (1 - q))
         one_minus_q = 1 - qpow[1 % n]
-        inv = [None]
-        for m in range(1, n):
-            qm = (1 - qpow[m]) / one_minus_q
-            inv.append(1 / qm)
-        self._inv_qint = inv
+        self._inv_qint = [None] + [
+            1 / ((1 - q) / one_minus_q) for q in itertools.islice(qpow, 1, None)
+        ]
 
-    def weight_row(self, k: int) -> list:
-        """w_k(1..n-1) = q^((k-1)m) / [m]^k as a new list."""
+    def weight_row(self, k: int):
+        """Yields w_k(m) = q^((k-1)m) / [m]^k for m = 1..n-1."""
         n, qpow, inv = self.n, self._qpow, self._inv_qint
-        return [qpow[((k - 1) * m) % n] * inv[m] ** k for m in range(1, n)]
+        return (qpow[((k - 1) * m) % n] * inv[m] ** k for m in range(1, n))
 
     def running_sums(self, values, inclusive: bool):
-        """Running sums as a new list, and the total, with Neumaier
-        compensation.  A non-finite value anywhere poisons the total,
+        """Compensated running sums of the list `values`, written over it;
+        returns the total.  A non-finite value anywhere poisons the total,
         which raises OverflowError."""
-        sums = compensated_sums(values)
-        total = sums[-1]
+        total = compensated_sums(values, inclusive)
         if not (math.isfinite(total.real) and math.isfinite(total.imag)):
             raise OverflowError("non-finite value in numeric evaluation")
-        return (sums[1:] if inclusive else sums[:-1]), total
+        return total
 
 
 @functools.lru_cache(maxsize=64)
@@ -218,7 +217,12 @@ def exact_backend(n: int) -> ExactBackend:
     return ExactBackend(n)
 
 
+@functools.lru_cache(maxsize=8)
 def numeric_backend(n: int) -> NumericBackend:
+    """The shared double-precision backend at level n.  An entry holds n
+    powers of q and n - 1 inverse q-integers, about 80 bytes x n (10.5 MB
+    at n = 2^17); eight entries hold a seven-level convergence schedule
+    and one more level."""
     return NumericBackend(n)
 
 
@@ -229,13 +233,13 @@ def _outer_terms(parts: tuple, backend, star: bool, weight_row) -> list:
     j < r multiplies w_(k_j)(m) by the running sum of the level below,
     taken below m for strict chains (exclusive) or up to m for non-strict
     chains (inclusive).  Returns the terms w_(k_1)(m) * S_2(m) of level 1
-    for m = 1..n-1, with `weight_row(k)` giving the rows as new lists.
-    Each level is computed in place, so an exact evaluation holds one row
-    of partial sums at a time.
+    for m = 1..n-1 as a new list, with `weight_row(k)` giving an iterable
+    over each row.  Each level is computed in place, so an evaluation
+    holds one row of partial sums at a time.
     """
-    terms = weight_row(parts[-1])
+    terms = list(weight_row(parts[-1]))
     for k in reversed(parts[:-1]):
-        terms, _ = backend.running_sums(terms, star)
+        backend.running_sums(terms, star)
         for i, w in enumerate(weight_row(k)):
             terms[i] = w * terms[i]
     return terms
@@ -249,7 +253,7 @@ def _evaluate(index: Index, n: int, backend, star: bool):
     if n < 1:
         raise ValueError("n must be a positive integer")
     terms = _outer_terms(index.parts, backend, star, backend.weight_row)
-    return backend.running_sums(terms, star)[1]
+    return backend.running_sums(terms, star)
 
 
 def z(index: Index, n: int, backend=None):
@@ -311,7 +315,7 @@ def brute_force(index: Index, n: int, backend=None, star: bool = False):
     r = index.depth
     if r == 0:
         return backend.one
-    rows = {k: [None] + backend.weight_row(k) for k in set(index.parts)}
+    rows = {k: [None, *backend.weight_row(k)] for k in set(index.parts)}
     chains = (
         itertools.combinations_with_replacement(range(1, n), r)
         if star
@@ -324,4 +328,4 @@ def brute_force(index: Index, n: int, backend=None, star: bool = False):
         for k, m in zip(index.parts, ms):
             term = term * rows[k][m]
         terms.append(term)
-    return backend.running_sums(terms, True)[1]
+    return backend.running_sums(terms, True)

@@ -173,18 +173,21 @@ def verify_theorem_1_2(n: int, cap: int) -> VerificationReport:
     )
 
 
-def sum_formula_check(n: int, k: int, r: int) -> VerificationReport:
+def sum_formula_check(n: int, k: int, r: int, k_max: int = 0) -> VerificationReport:
     """Weight-depth sum formula: the sum of modified values over all
     indices of weight k and depth r equals
     sum_{j=1..r} (1/n) C(n, j) zbar(k+1-j).  The left side adds the
-    profile sums of weight k and depth r read from `f_series`."""
+    profile sums of weight k and depth r read from `f_series` at cap
+    max(k, k_max): weights only add, so a series of a larger cap holds
+    the same weight-k coefficients, and checks at one level that pass
+    the same `k_max` share one series."""
     if not (k >= r and n > r > 0):
         raise ValueError("requires k >= r and n > r > 0")
     from .mhs import zbar
     from .report import Stopwatch
 
     with Stopwatch() as sw:
-        series = f_series(n, k, False)
+        series = f_series(n, max(k, k_max), False)
         lhs_q = sum(
             (series.coefficient(k - r - s, r - s, s) for s in range(min(r, k - r) + 1)),
             Fraction(0),
@@ -272,7 +275,11 @@ def transform_images(cap: int, field) -> tuple[MultiSeries, MultiSeries, MultiSe
 def verify_prop_3_3(n: int, cap: int) -> list[VerificationReport]:
     """Check that the product and recurrence routes agree and that the
     change of variables carries the product route onto the brute-force
-    generating function with all-rational coefficients."""
+    generating function with all-rational coefficients.
+
+    The product route is rational: an automorphism zeta -> zeta^a with
+    gcd(a, n) = 1 permutes its factors j = 1..n-1.  So the substitution
+    runs over Q; `to_rational` raises if a coefficient is not rational."""
     from .report import Stopwatch
 
     reports = []
@@ -284,9 +291,7 @@ def verify_prop_3_3(n: int, cap: int) -> list[VerificationReport]:
     reports.append(rep)
 
     with Stopwatch() as sw:
-        field = get_field(n)
-        u, v, w = transform_images(cap, field)
-        substituted = ms_substitute(prod, u, v, w).to_rational()
+        substituted = ms_substitute(prod.to_rational(), *transform_images(cap, RATIONALS))
         target = f_series(n, cap, False)
     rep = compare(
         "phi-substitution", {"n": n, "cap": cap}, substituted, target, render_series

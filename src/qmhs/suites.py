@@ -57,8 +57,8 @@ def _thm12_instance(args) -> VerificationReport:
 
 
 def _sumformula_instance(args) -> VerificationReport:
-    n, k, r = args
-    return sum_formula_check(n, k, r)
+    n, k, r, k_max = args
+    return sum_formula_check(n, k, r, k_max)
 
 
 def _phi_instance(args) -> list[VerificationReport]:
@@ -210,7 +210,7 @@ def run_suite(
         nm, km = n_max or 15, k_max or 8
         rm = r_max or 6
         instances = [
-            (n, k, r)
+            (n, k, r, km)
             for n in range(2, nm + 1)
             for r in range(1, min(n, rm))
             for k in range(r, km + 1)

@@ -45,7 +45,8 @@ class XiClosed:
 
 def z_numeric(index: Index, n: int) -> complex:
     """Strict nested sum at q = exp(2*pi*i/n) in double precision, with
-    per-exponent trigonometric powers and compensated accumulation."""
+    per-exponent trigonometric powers and compensated accumulation, on
+    the shared backend of level n."""
     if n < 2:
         raise ValueError("numeric evaluation needs n >= 2")
     return mhs_z(index, n, numeric_backend(n))

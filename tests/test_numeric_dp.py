@@ -1,20 +1,35 @@
 """Differential and edge checks of the double-precision chain DP.
 
-The DP runs level by level over whole weight rows with compensated
-running sums.  Its oracle here is the former m-major DP: one Neumaier
-accumulator per level, updated for each m in turn (levels ascending for
-strict chains, descending for non-strict ones), with the association
-c = (c + (s - t)) + v it used.
+The DP runs level by level over weight rows streamed from the shared
+backend of each level, with compensated running sums taken in place.
+Its oracles here are the former m-major DP: one Neumaier accumulator per
+level, updated for each m in turn (levels ascending for strict chains,
+descending for non-strict ones), with the association
+c = (c + (s - t)) + v it used; and the former per-call backend, which
+built its tables in every evaluation, returned every weight row and
+every running sum as a new list, and must agree to the last bit.
 """
 
 import math
 
 import pytest
 
-from qmhs.mhs import Index, NumericBackend, _evaluate, z, z_star
+from qmhs.cyclotomic import compensated_sums
+from qmhs.mhs import (
+    Index,
+    NumericBackend,
+    _evaluate,
+    enumerate_indices,
+    numeric_backend,
+    z,
+    z_star,
+)
 from qmhs.xi import z_numeric
 
 ORACLE_INDICES = ((3,), (1, 2), (2, 1, 3), (1, 3, 1, 2))
+LARGE_N_INDICES = ORACLE_INDICES + (
+    (2,), (1, 1), (4,), (2, 2), (3, 2, 1), (1, 1, 1, 1), (2, 3)
+)
 
 
 class _KahanAccumulator:
@@ -40,7 +55,7 @@ class _KahanAccumulator:
 
 def m_major_dp(parts, n, star):
     backend = NumericBackend(n)
-    rows = {k: [None] + backend.weight_row(k) for k in set(parts)}
+    rows = {k: [None] + list(backend.weight_row(k)) for k in set(parts)}
     r = len(parts)
     acc = [_KahanAccumulator() for _ in range(r)]
     js = range(r - 1, -1, -1) if star else range(r)
@@ -65,7 +80,7 @@ def test_level_major_dp_matches_m_major_oracle(n, star):
 def test_depth_one_sum_is_correctly_rounded_against_fsum(n):
     backend = NumericBackend(n)
     for k in range(1, 5):
-        row = backend.weight_row(k)
+        row = list(backend.weight_row(k))
         got = z_numeric(Index((k,)), n)
         for part, value in ((lambda c: c.real, got.real), (lambda c: c.imag, got.imag)):
             exact = math.fsum(part(w) for w in row)
@@ -97,3 +112,122 @@ def test_overflow_at_outermost_level():
     rows = {1: [1 + 0j] * 3 + [1e308 + 0j] + [1 + 0j] * (n - 5), 2: [10 + 0j] * (n - 1)}
     with pytest.raises(OverflowError):
         _evaluate(Index((1, 2)), n, _backend_with_rows(n, rows), star=False)
+
+
+class _FormerNumericBackend:
+    """The backend as it was before the tables were shared: built per
+    evaluation, with each row and each list of running sums a new list."""
+
+    def __init__(self, n: int):
+        self.n = n
+        qpow = [
+            complex(math.cos(2 * math.pi * j / n), math.sin(2 * math.pi * j / n))
+            for j in range(n)
+        ]
+        self._qpow = qpow
+        one_minus_q = 1 - qpow[1 % n]
+        inv = [None]
+        for m in range(1, n):
+            qm = (1 - qpow[m]) / one_minus_q
+            inv.append(1 / qm)
+        self._inv_qint = inv
+
+    def weight_row(self, k: int) -> list:
+        n, qpow, inv = self.n, self._qpow, self._inv_qint
+        return [qpow[((k - 1) * m) % n] * inv[m] ** k for m in range(1, n)]
+
+    @staticmethod
+    def running_sums(values, inclusive: bool):
+        sr = cr = si = ci = 0.0
+        sums = [0j]
+        for v in values:
+            x = v.real
+            t = sr + x
+            if abs(sr) >= abs(x):
+                cr += (sr - t) + x
+            else:
+                cr += (x - t) + sr
+            sr = t
+            x = v.imag
+            t = si + x
+            if abs(si) >= abs(x):
+                ci += (si - t) + x
+            else:
+                ci += (x - t) + si
+            si = t
+            sums.append(complex(sr + cr, si + ci))
+        return (sums[1:] if inclusive else sums[:-1]), sums[-1]
+
+
+def former_evaluate(parts, n, star, backend=None):
+    backend = backend or _FormerNumericBackend(n)
+    terms = backend.weight_row(parts[-1])
+    for k in reversed(parts[:-1]):
+        terms, _ = backend.running_sums(terms, star)
+        for i, w in enumerate(backend.weight_row(k)):
+            terms[i] = w * terms[i]
+    return backend.running_sums(terms, star)[1]
+
+
+def _hex(c: complex) -> tuple:
+    return c.real.hex(), c.imag.hex()
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_shared_backend_is_bit_identical_to_former_backend_small_n(n):
+    indices = [ix for w in range(1, 6) for r in range(1, w + 1)
+               for ix in enumerate_indices(w, r)]
+    for ix in indices:
+        for star, evaluate in ((False, z), (True, z_star)):
+            got = evaluate(ix, n, numeric_backend(n))
+            assert _hex(got) == _hex(former_evaluate(ix.parts, n, star)), (ix, star)
+
+
+@pytest.mark.parametrize("n", (2**8, 2**12, 2**15))
+def test_shared_backend_is_bit_identical_to_former_backend_large_n(n):
+    former = _FormerNumericBackend(n)
+    for parts in LARGE_N_INDICES:
+        for star, evaluate in ((False, z), (True, z_star)):
+            ref = former_evaluate(parts, n, star, former)
+            assert _hex(evaluate(Index(parts), n, numeric_backend(n))) == _hex(ref), (parts, star)
+            if not star:
+                assert _hex(z_numeric(Index(parts), n)) == _hex(ref), parts
+
+
+def test_shared_backend_tables_equal_former_tables():
+    n = 2**12
+    former, shared = _FormerNumericBackend(n), numeric_backend(n)
+    assert [_hex(q) for q in shared._qpow] == [_hex(q) for q in former._qpow]
+    assert ([_hex(x) for x in shared._inv_qint[1:]]
+            == [_hex(x) for x in former._inv_qint[1:]])
+
+
+def test_z_numeric_builds_the_tables_once_per_level(monkeypatch):
+    builds = []
+    init = NumericBackend.__init__
+
+    def counting_init(self, n):
+        builds.append(n)
+        init(self, n)
+
+    numeric_backend.cache_clear()
+    monkeypatch.setattr(NumericBackend, "__init__", counting_init)
+    n = 2**10
+    values = [z_numeric(Index(parts), n) for parts in ((2,), (1, 2), (2, 1, 3))]
+    assert builds == [n]
+    z_numeric(Index((2,)), 2 * n)
+    assert builds == [n, 2 * n]
+    assert values == [z_numeric(Index(parts), n) for parts in ((2,), (1, 2), (2, 1, 3))]
+    assert builds == [n, 2 * n]
+    numeric_backend.cache_clear()
+
+
+@pytest.mark.parametrize("inclusive", (False, True))
+def test_compensated_sums_in_place(inclusive):
+    values = [1e16 + 1j, 1.0 - 1e16j, -1e16 + 0.5j, 3.0 + 1e16j]
+    former_sums, former_total = _FormerNumericBackend.running_sums(list(values), inclusive)
+    total = compensated_sums(values, inclusive)
+    assert _hex(total) == _hex(former_total) and total == 4.0 + 1.5j
+    assert [_hex(v) for v in values] == [_hex(v) for v in former_sums]
+    assert values[0] == (1e16 + 1j if inclusive else 0j)
+    assert compensated_sums([], inclusive) == 0j

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from qmhs.cyclotomic import CycloElem, get_field
-from qmhs.mhs import Index, enumerate_indices, exact_backend, zbar
+from qmhs.cli import main as cli_main
+from qmhs.cyclotomic import CycloElem, cyclotomic_polynomial, get_field
+from qmhs.mhs import Index, enumerate_indices, exact_backend, numeric_backend, zbar
 from qmhs import ohno_zagier
 from qmhs.multiseries import MultiSeries, ms_substitute
 from qmhs.ohno_zagier import (
@@ -258,6 +259,37 @@ def test_sum_formula_lhs_matches_per_index_zbar_sum():
 
 def test_f_series_cache_is_bounded():
     assert f_series.cache_info().maxsize is not None
+
+
+def test_field_caches_are_bounded():
+    assert get_field.cache_info().maxsize is not None
+    assert cyclotomic_polynomial.cache_info().maxsize is not None
+
+
+def test_numeric_backend_cache_is_bounded():
+    assert numeric_backend.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("star", (False, True))
+@pytest.mark.parametrize("n", range(1, 10))
+def test_f_series_truncated_at_largest_cap_equals_fresh_build(n, star):
+    top = f_series.__wrapped__(n, 8, star)
+    for cap in range(0, 8):
+        assert top.truncate(cap) == f_series.__wrapped__(n, cap, star), cap
+
+
+def test_sumformula_suite_builds_one_series_per_level(monkeypatch, capsys):
+    monkeypatch.delenv("QMHS_PARALLELISM", raising=False)
+    f_series.cache_clear()
+    assert cli_main(["verify", "sumformula", "--n-max", "7"]) == 0
+    capsys.readouterr()
+    assert f_series.cache_info().misses == len(range(2, 8))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_phi_product_is_rational(n):
+    for cap in range(1, 6):
+        phi_product(n, cap).to_rational()  # raises on a non-rational coefficient
 
 
 def test_lemma_3_2_evaluates_each_polylog_once(monkeypatch):
