@@ -2,7 +2,7 @@
 at roots of unity, their closed forms, generating-function identities,
 and limits."""
 
-from .exactnum import Rational, RatPoly, bernoulli, binomial, binom_convolution
+from .exactnum import Poly, bernoulli, binomial
 from .cyclotomic import (
     CycloElem,
     CycloField,
@@ -58,7 +58,7 @@ from .report import VerificationReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational", "RatPoly", "bernoulli", "binomial", "binom_convolution",
+    "Poly", "bernoulli", "binomial",
     "CycloElem", "CycloField", "cyclotomic_polynomial", "get_field",
     "parse_cyclo", "q_integer", "render_cyclo",
     "Index", "IndexProfile", "enumerate_indices", "exact_backend",

@@ -10,11 +10,12 @@ two conjectural palindromic-insertion identities.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .cyclotomic import get_field, render_cyclo
-from .exactnum import ONE, ZERO, RatPoly, binomial, series_inverse
+from .exactnum import ONE, ZERO, Poly, binomial
 from .mhs import Index, z as mhs_z
+from .ohno_zagier import binomial_quotient
 from .report import REPORT_ONLY, VerificationReport
 
 
@@ -24,13 +25,9 @@ def depth_one_bar(n: int, K: int) -> list[Fraction]:
     if n < 1 or K < 1:
         raise ValueError("n and K must be positive")
     # 1 - (1+x)^n = -x * g(x) with g = sum_{j>=1} C(n,j) x^(j-1), so the
-    # series equals 1 - n/g(x).
-    g = [Fraction(comb(n, j)) for j in range(1, min(n, K + 1) + 1)]
-    inv = series_inverse(g, K + 1)
-    out = [-Fraction(n) * c for c in inv]
-    out[0] += 1  # the "+1" of the closed form cancels the constant -n/g(0) = -1
-    assert out[0] == 0
-    return out[1 : K + 1]
+    # series equals 1 - n/g(x); the "+1" cancels the constant -n/g(0) = -1.
+    inv = binomial_quotient(n, K).invert()
+    return [-n * inv.coefficient(d, 0, 0) for d in range(1, K + 1)]
 
 
 def kkk_closed(k: int, r: int, n: int) -> Fraction:
@@ -151,11 +148,13 @@ class Poly2:
         return " + ".join(parts)
 
 
-def bareiss_det(matrix: list[list]) -> "Poly2":
-    """Determinant by fraction-free (Bareiss) elimination.
+def bareiss_det(matrix: list[list]):
+    """Determinant by fraction-free elimination (E. H. Bareiss, Math. Comp.
+    22, 1968), over Poly or Poly2 entries.
 
     Entries must support *, -, truth testing and exact division by the
-    previous pivot; intermediate entries stay polynomial.
+    previous pivot; intermediate entries stay polynomial.  A singular
+    matrix gives the zero entry of the type it holds.
     """
     m = [row[:] for row in matrix]
     size = len(m)
@@ -171,7 +170,7 @@ def bareiss_det(matrix: list[list]) -> "Poly2":
                     sign = -sign
                     break
             else:
-                return Poly2() if isinstance(m[k][k], Poly2) else m[k][k]
+                return m[k][k]  # column k is zero from row k down
         for i in range(k + 1, size):
             for j in range(k + 1, size):
                 num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
@@ -182,41 +181,18 @@ def bareiss_det(matrix: list[list]) -> "Poly2":
     return -det if sign < 0 else det
 
 
-def _companion(k: int) -> list[list[RatPoly]]:
+def _companion(k: int) -> list[list[Poly]]:
     """Companion matrix over Q[X] of (1-Y)^k + Y^(k-1) X viewed as a monic
     degree-k polynomial in Y."""
     # monic coefficients p_j of Y^j for j < k, after scaling by (-1)^k
     sgn = (-1) ** k
-    p = []
-    for j in range(k):
-        const = Fraction(sgn * (-1) ** j * comb(k, j))
-        xcoef = Fraction(sgn) if j == k - 1 else ZERO
-        p.append(RatPoly([const, xcoef]))
-    mat = [[RatPoly() for _ in range(k)] for _ in range(k)]
+    mat = [[Poly() for _ in range(k)] for _ in range(k)]
     for i in range(1, k):
-        mat[i][i - 1] = RatPoly([ONE])
-    for i in range(k):
-        mat[i][k - 1] = -p[i]
+        mat[i][i - 1] = Poly([1])
+    for j in range(k):
+        xcoef = sgn if j == k - 1 else 0
+        mat[j][k - 1] = -Poly([sgn * (-1) ** j * comb(k, j), xcoef])
     return mat
-
-
-def _minor_det(mat: list[list[RatPoly]], rows: tuple, cols: tuple) -> RatPoly:
-    # cofactor expansion; minors here never exceed 5x5
-    return _cofactor_det([[mat[i][j] for j in cols] for i in rows])
-
-
-def _cofactor_det(sub: list[list[RatPoly]]) -> RatPoly:
-    size = len(sub)
-    if size == 1:
-        return sub[0][0]
-    acc = RatPoly()
-    for j in range(size):
-        if not sub[0][j]:
-            continue
-        rest = [row[:j] + row[j + 1 :] for row in sub[1:]]
-        term = sub[0][j] * _cofactor_det(rest)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
 
 
 def exterior_F(k: int, l: int) -> Poly2:
@@ -235,19 +211,13 @@ def exterior_F(k: int, l: int) -> Poly2:
 
     comp = _companion(k)
     subsets = list(combinations(range(k), l))
-    lam = [
-        [_minor_det(comp, rows, cols) for cols in subsets]
-        for rows in subsets
-    ]
-    size = len(subsets)
     m: list[list[Poly2]] = []
-    for i in range(size):
+    for rows in subsets:
         row = []
-        for j in range(size):
-            entry = Poly2(
-                {(dx, 1): -c for dx, c in enumerate(lam[i][j].coeffs) if c}
-            )
-            if i == j:
+        for cols in subsets:
+            minor = bareiss_det([[comp[i][j] for j in cols] for i in rows])
+            entry = Poly2({(dx, 1): -c for dx, c in enumerate(minor.coeffs) if c})
+            if rows == cols:
                 entry = entry + Poly2.const(1)
             row.append(entry)
         m.append(row)
@@ -255,47 +225,32 @@ def exterior_F(k: int, l: int) -> Poly2:
 
 
 # ---------------------------------------------------------------------------
-# Truncated bivariate series log on Poly2 maps.
+# Truncated bivariate series log.
 
 
-def _p2_trunc(p: dict, xmax: int, ymax: int) -> dict:
-    return {
-        (dx, dy): c
-        for (dx, dy), c in p.items()
-        if dx <= xmax and dy <= ymax and c
-    }
-
-
-def _p2_series_log(f: dict, xmax: int, ymax: int) -> dict:
-    """log f for a series whose Y^0 row is 1, truncated at X^xmax and
-    Y^ymax.  With g = log f, the derivative in Y gives f' = f * g', so
-    row by row in Y
+def _series_log(f: Poly2, xmax: int, ymax: int) -> list[Poly]:
+    """log f for a series f in (X, Y) whose Y^0 row is 1, truncated at
+    X^xmax and Y^ymax, as its rows g_0 = 0, g_1, ..., g_ymax in Y, each a
+    polynomial in X.  With g = log f, the derivative in Y gives
+    f' = f * g', so row by row
 
         g_d = f_d - (1/d) * sum_{0<j<d} j * g_j * f_(d-j),
 
-    each product truncated at X^xmax."""
-    rows: dict[int, dict] = {}
-    for (dx, dy), c in f.items():
-        if c:
-            rows.setdefault(dy, {})[dx] = c
-    if rows.get(0) != {0: ONE}:
+    truncated at X^xmax."""
+    dense = [[ZERO] * (xmax + 1) for _ in range(ymax + 1)]
+    for (dx, dy), c in f.coeffs.items():
+        if dx <= xmax and dy <= ymax:
+            dense[dy][dx] = c
+    rows = [Poly(row) for row in dense]
+    if rows[0] != Poly([1]):
         raise ValueError("series log requires the Y^0 row to be 1")
-    g: dict[int, dict] = {}
+    g = [Poly()]
     for d in range(1, ymax + 1):
-        acc: dict = {}
-        for j, gj in g.items():
-            fr = rows.get(d - j)
-            if not fr:
-                continue
-            for a, ca in gj.items():
-                for b, cb in fr.items():
-                    if a + b <= xmax:
-                        acc[a + b] = acc.get(a + b, ZERO) + j * ca * cb
-        row = dict(rows.get(d, {}))
-        for a, c in acc.items():
-            row[a] = row.get(a, ZERO) - c / d
-        g[d] = {a: c for a, c in row.items() if c}
-    return {(dx, dy): c for dy, row in g.items() for dx, c in row.items()}
+        acc = Poly()
+        for j in range(1, d):
+            acc = acc + (g[j] * rows[d - j]).scale(j)
+        g.append(rows[d] - Poly(acc.coeffs[: xmax + 1]).scale(Fraction(1, d)))
+    return g
 
 
 def kkk_general(k: int, n_max: int, r_max: int) -> dict[tuple[int, int], Fraction]:
@@ -304,24 +259,20 @@ def kkk_general(k: int, n_max: int, r_max: int) -> dict[tuple[int, int], Fractio
     polynomials and dividing out one power of the depth variable."""
     if k < 1:
         raise ValueError("k must be positive")
-    xmax, ymax = r_max + 1, n_max
-    total: dict = {}
+    total = [Poly()] * (n_max + 1)
     for l in range(0, k + 1):
-        f = _p2_trunc(exterior_F(k, l).coeffs, xmax, ymax)
-        lg = _p2_series_log(f, xmax, ymax)
-        sgn = (-1) ** l
-        for e, c in lg.items():
-            total[e] = total.get(e, ZERO) + sgn * c
+        for d, row in enumerate(_series_log(exterior_F(k, l), r_max + 1, n_max)):
+            total[d] = total[d] - row if l % 2 else total[d] + row
     # the X^0 slice must vanish: at X = 0 all roots collapse to 1 and the
     # alternating product telescopes to 1
-    for (dx, dy), c in total.items():
-        if dx == 0 and c:
-            raise ValueError("internal error: log expansion has an X^0 term")
-    sign = Fraction((-1) ** (k - 1))
+    if any(row.coeffs and row.coeffs[0] for row in total):
+        raise ValueError("internal error: log expansion has an X^0 term")
+    sign = (-1) ** (k - 1)
     table: dict[tuple[int, int], Fraction] = {}
     for n in range(1, n_max + 1):
+        cs = total[n].coeffs
         for r in range(0, r_max + 1):
-            c = total.get((r + 1, n), ZERO) * sign
+            c = cs[r + 1] * sign if r + 1 < len(cs) else ZERO
             table[(n, r)] = c / Fraction(n) ** (k - 1)
     return table
 

@@ -19,17 +19,17 @@ import math
 import operator
 from fractions import Fraction
 
-from .exactnum import ONE, RatPoly, poly_xgcd
+from .exactnum import ONE, Poly, poly_xgcd
 
 
 @functools.lru_cache(maxsize=256)
-def cyclotomic_polynomial(n: int) -> RatPoly:
+def cyclotomic_polynomial(n: int) -> Poly:
     """n-th cyclotomic polynomial, via (x^n - 1) / prod of proper divisors."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n == 1:
-        return RatPoly([-ONE, ONE])
-    num = RatPoly.monomial(n) - RatPoly([ONE])
+        return Poly([-1, 1])
+    num = Poly.monomial(n) - Poly([1])
     for d in range(1, n):
         if n % d == 0:
             num = num.div_exact(cyclotomic_polynomial(d))
@@ -114,7 +114,7 @@ class CycloField:
         vec.extend([0] * (d - len(vec)))
         return vec
 
-    def element(self, poly: RatPoly) -> "CycloElem":
+    def element(self, poly: Poly) -> "CycloElem":
         """Image of a rational polynomial in zeta, reduced modulo phi."""
         den = math.lcm(*(c.denominator for c in poly.coeffs))
         vec = [c.numerator * (den // c.denominator) for c in poly.coeffs]
@@ -281,10 +281,9 @@ class CycloElem:
         """Multiplicative inverse via extended gcd with the modulus."""
         if not self:
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        rep = RatPoly(self.coeffs)
-        s, _, g = poly_xgcd(rep, self.field.phi)
-        # g is a nonzero constant since phi is irreducible and rep != 0
-        return self.field.element(s.scale(ONE / g.coeffs[0]))
+        s, _, g = poly_xgcd(Poly(self.coeffs), self.field.phi)
+        # g is a nonzero constant since phi is irreducible and self != 0
+        return self.field.element(s.scale(g.coeffs[0] ** -1))
 
     def __truediv__(self, other: "CycloElem") -> "CycloElem":
         return self * other.inverse()
@@ -366,9 +365,10 @@ def q_integer(m: int, field: CycloField) -> CycloElem:
 
 def render_cyclo(a: CycloElem, symbol: str = "z") -> str:
     """Exact string form: a polynomial in the root, highest degree first."""
+    coeffs = a.coeffs
     terms = []
     for j in range(a.field.degree - 1, -1, -1):
-        c = a.coeffs[j]
+        c = coeffs[j]
         if not c:
             continue
         if j == 0:

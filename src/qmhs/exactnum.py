@@ -1,5 +1,5 @@
-"""Exact scalar arithmetic: rationals, univariate rational polynomials,
-binomial coefficients and Bernoulli numbers.
+"""Exact scalar arithmetic: rationals, the field protocol, dense univariate
+polynomials over a field, binomial coefficients and Bernoulli numbers.
 
 Every quantity in this package is either one of these or is built from
 them; no floating point enters except in the dedicated numeric backend.
@@ -11,12 +11,33 @@ import math
 import threading
 from fractions import Fraction
 
-# The universal exact scalar.  fractions.Fraction already guarantees the
-# canonical form we need: lowest terms, positive denominator, no rounding.
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class RationalField:
+    """The field protocol for Q: zero, one and from_rational, with
+    Fraction elements.  A cyclotomic field provides the same three names;
+    elements support +, -, *, inversion by `** -1` and truth testing."""
+
+    zero = ZERO
+    one = ONE
+
+    @staticmethod
+    def from_rational(q):
+        return q if type(q) is Fraction else Fraction(q)
+
+    def __repr__(self):
+        return "RationalField()"
+
+    def __eq__(self, other):
+        return isinstance(other, RationalField)
+
+    def __hash__(self):
+        return hash("RationalField")
+
+
+RATIONALS = RationalField()
 
 
 def binomial(n: int, k: int) -> int:
@@ -33,17 +54,6 @@ def binomial(n: int, k: int) -> int:
     for i in range(k):
         num *= n - i
     return num // math.factorial(k)
-
-
-def binom_convolution(n: int, m: int) -> int:
-    """Sum of C(n-a-1, b) * C(n-b-1, a) over a, b >= 0 with a + b = m.
-
-    Requires n > m >= 0.  The closed form of this sum is C(2n-m-1, m),
-    which is asserted as an invariant in the test suite.
-    """
-    if not n > m >= 0:
-        raise ValueError(f"binom_convolution requires n > m >= 0, got n={n}, m={m}")
-    return sum(binomial(n - a - 1, m - a) * binomial(n - m + a - 1, a) for a in range(m + 1))
 
 
 _bernoulli_cache: list[Fraction] = [ONE]
@@ -72,106 +82,159 @@ def bernoulli(k: int) -> Fraction:
     return _bernoulli_cache[k]
 
 
-class RatPoly:
-    """Dense univariate polynomial over the rationals, lowest degree first.
+def _poly(coeffs: list, field) -> "Poly":
+    """A polynomial from a list of field elements, trailing zeros stripped."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    p = object.__new__(Poly)
+    p.coeffs = tuple(coeffs)
+    p.field = field
+    return p
+
+
+class Poly:
+    """Dense univariate polynomial over a field, lowest degree first.
 
     Canonical form: no trailing zero coefficient.  The zero polynomial has
-    an empty coefficient list and degree -1.  Instances are immutable.
+    an empty coefficient tuple and degree -1.  Ints and Fractions given to
+    the constructor are taken into the field.  Instances are immutable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "field")
 
-    def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+    def __init__(self, coeffs=(), field=RATIONALS):
+        lift = field.from_rational
+        cs = [lift(c) if isinstance(c, (int, Fraction)) else c for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
+        self.field = field
 
     @classmethod
-    def monomial(cls, degree: int, coeff=ONE) -> "RatPoly":
-        return cls([ZERO] * degree + [coeff])
+    def monomial(cls, degree: int, coeff=None, field=RATIONALS) -> "Poly":
+        """coeff * t^degree; coeff defaults to the field's one."""
+        return cls([field.zero] * degree + [field.one if coeff is None else coeff], field)
 
     @property
     def degree(self) -> int:
         """Degree, with -1 as the sentinel for the zero polynomial."""
         return len(self.coeffs) - 1
 
+    def valuation(self) -> int:
+        """Order of vanishing at t = 0; degree + 1 for the zero polynomial."""
+        for i, c in enumerate(self.coeffs):
+            if c:
+                return i
+        return len(self.coeffs)
+
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, Poly)
+            and self.field == other.field
+            and self.coeffs == other.coeffs
+        )
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: "RatPoly") -> "RatPoly":
+    def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return RatPoly(out)
+        return _poly(out, self.field)
 
-    def __neg__(self) -> "RatPoly":
-        return RatPoly([-c for c in self.coeffs])
+    def __neg__(self) -> "Poly":
+        return _poly([-c for c in self.coeffs], self.field)
 
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
+    def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def __mul__(self, other: "RatPoly") -> "RatPoly":
+    def __mul__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return RatPoly()
-        out = [ZERO] * (len(a) + len(b) - 1)
+            return _poly([], self.field)
+        out = [self.field.zero] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if not ca:
                 continue
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-        return RatPoly(out)
+        return _poly(out, self.field)
 
-    def scale(self, c) -> "RatPoly":
-        c = Fraction(c)
-        return RatPoly([ci * c for ci in self.coeffs])
+    def scale(self, c) -> "Poly":
+        if isinstance(c, (int, Fraction)):
+            c = self.field.from_rational(c)
+        return _poly([ci * c for ci in self.coeffs], self.field)
 
-    def divmod(self, divisor: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        """Euclidean division; divisor must be nonzero."""
+    def divmod(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
+        """Euclidean division; divisor must be nonzero.  The lead
+        coefficient of the divisor is inverted once."""
         if not divisor:
             raise ZeroDivisionError("polynomial division by zero")
+        field = self.field
         rem = list(self.coeffs)
         dd = divisor.degree
-        lead = divisor.coeffs[-1]
         if len(rem) - 1 < dd:
-            return RatPoly(), self
-        quot = [ZERO] * (len(rem) - dd)
+            return _poly([], field), self
+        inv = divisor.coeffs[-1] ** -1
+        quot = [field.zero] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if not c:
                 continue
-            q = c / lead
+            q = c * inv
             quot[i - dd] = q
             for j, dc in enumerate(divisor.coeffs):
                 rem[i - dd + j] -= q * dc
-        return RatPoly(quot), RatPoly(rem)
+        return _poly(quot, field), _poly(rem, field)
 
-    def div_exact(self, divisor: "RatPoly") -> "RatPoly":
+    def div_exact(self, divisor: "Poly") -> "Poly":
         """Exact quotient; raises ValueError on a nonzero remainder."""
         q, r = self.divmod(divisor)
         if r:
             raise ValueError("inexact polynomial division")
         return q
 
+    def div_t_exact(self) -> "Poly":
+        """Exact quotient by t; the constant term must vanish."""
+        if self.coeffs and self.coeffs[0]:
+            raise ValueError("not divisible by t: nonzero constant term")
+        return _poly(list(self.coeffs[1:]), self.field)
+
+    def div_one_minus_t_exact(self) -> "Poly":
+        """Exact quotient by (1 - t); the value at t = 1 must vanish."""
+        # synthetic division: if p = (1 - t) q then q_i = sum_{j<=i} p_j
+        acc = self.field.zero
+        out = []
+        for c in self.coeffs:
+            acc = acc + c
+            out.append(acc)
+        if out and out[-1]:
+            raise ValueError("not divisible by 1 - t: nonzero remainder")
+        return _poly(out[:-1], self.field)
+
+    def at_one(self):
+        """The value at t = 1: the sum of the coefficients."""
+        acc = self.field.zero
+        for c in self.coeffs:
+            acc = acc + c
+        return acc
+
     def __call__(self, t):
         """Evaluate by Horner at a value supporting + and *."""
-        acc = ZERO
+        acc = self.field.zero
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
 
     def __repr__(self) -> str:
-        return f"RatPoly({list(self.coeffs)!r})"
+        return f"Poly({list(self.coeffs)!r}, {self.field!r})"
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -190,28 +253,15 @@ class RatPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def poly_xgcd(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
+def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended Euclidean algorithm: returns (s, t, g) with s*a + t*b = g."""
+    field = a.field
     r0, r1 = a, b
-    s0, s1 = RatPoly([ONE]), RatPoly()
-    t0, t1 = RatPoly(), RatPoly([ONE])
+    s0, s1 = _poly([field.one], field), _poly([], field)
+    t0, t1 = _poly([], field), _poly([field.one], field)
     while r1:
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
     return s0, t0, r0
-
-
-def series_inverse(coeffs: list[Fraction], prec: int) -> list[Fraction]:
-    """First `prec` coefficients of 1/f for a power series f with f(0) != 0."""
-    if not coeffs or not coeffs[0]:
-        raise ZeroDivisionError("series has no inverse: zero constant term")
-    inv0 = ONE / coeffs[0]
-    out = [inv0]
-    for d in range(1, prec):
-        acc = ZERO
-        for a in range(1, min(d, len(coeffs) - 1) + 1):
-            acc += coeffs[a] * out[d - a]
-        out.append(-inv0 * acc)
-    return out

@@ -271,7 +271,9 @@ def z_star(index: Index, n: int, backend=None):
     return _evaluate(index, n, backend, star=True)
 
 
-@functools.lru_cache(maxsize=None)
+# `qmhs verify all` at its defaults fills 480 entries, so 4096 never evicts
+# on a suite; the bound keeps a long-running caller from growing forever.
+@functools.lru_cache(maxsize=4096)
 def _zbar_cached(parts: tuple, n: int, star: bool) -> CycloElem:
     index = Index(parts)
     backend = exact_backend(n)

@@ -3,41 +3,18 @@
 The variables (x, y, z) — or (u, v, w), which share the same slots —
 carry weights (1, 1, 2).  A series stores only monomials of weight at
 most its cap, sparsely, and every operation truncates at the cap.
-Coefficients live in an abstract field: the rationals or a cyclotomic
-field, anything providing zero/one/from_rational and elements with
-+, -, *, inversion by `** -1` and truth testing.
+Coefficients live in an abstract field with the protocol of
+`exactnum.RationalField`: the rationals or a cyclotomic field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import ONE, ZERO
+# RationalField is re-exported: the tracer in perfbench/spans.py reads it here
+from .exactnum import RATIONALS, RationalField  # noqa: F401
 
 WEIGHTS = (1, 1, 2)
-
-
-class RationalField:
-    """Field adapter for plain Fraction coefficients."""
-
-    zero = ZERO
-    one = ONE
-
-    @staticmethod
-    def from_rational(q):
-        return Fraction(q)
-
-    def __repr__(self):
-        return "RationalField()"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("RationalField")
-
-
-RATIONALS = RationalField()
 
 
 def monomial_weight(exps: tuple[int, int, int]) -> int:

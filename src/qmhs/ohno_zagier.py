@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .cyclotomic import CycloElem, CycloField, get_field
+from .exactnum import Poly
 from .mhs import (
     Index,
     IndexProfile,
@@ -39,24 +40,24 @@ def _binomial_row(a: int, cap: int, slot: int, field) -> MultiSeries:
     return MultiSeries(field, cap, coeffs)
 
 
+def binomial_quotient(n: int, cap: int, field=RATIONALS) -> MultiSeries:
+    """g(x) = ((1+x)^n - 1) / x = sum_{j=1..n} C(n, j) x^(j-1), truncated."""
+    return MultiSeries(field, cap, {
+        (j - 1, 0, 0): field.from_rational(comb(n, j))
+        for j in range(1, min(n, cap + 1) + 1)
+    })
+
+
 def u_kernel(n: int, cap: int, field=RATIONALS) -> MultiSeries:
     """The closed-form generating series in (x, y, z) at level n.
 
     x/((1+x)^n - 1) times the double binomial sum over a, b >= 0 with
-    a + b <= n - 1; the prefactor is expanded by exact series inversion.
+    a + b <= n - 1; the prefactor 1/g(x) of `binomial_quotient` is
+    expanded by exact series inversion.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    # (1+x)^n - 1 = x * g(x) with g = sum_{j=1..n} C(n, j) x^(j-1)
-    g = MultiSeries(
-        field,
-        cap,
-        {
-            (j - 1, 0, 0): field.from_rational(comb(n, j))
-            for j in range(1, min(n, cap + 1) + 1)
-        },
-    )
-    pre = g.invert()
+    pre = binomial_quotient(n, cap, field).invert()
     xy_minus_z = MultiSeries(
         field, cap, {(1, 1, 0): field.one, (0, 0, 1): -field.one}
     )
@@ -305,107 +306,14 @@ def verify_prop_3_3(n: int, cap: int) -> list[VerificationReport]:
 # Truncated q-polylogarithms: polynomials in t of degree < n over Q(zeta_n).
 
 
-class TPoly:
-    """Dense polynomial in t with cyclotomic coefficients."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: CycloField, coeffs):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, field: CycloField) -> "TPoly":
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field: CycloField) -> "TPoly":
-        return cls(field, (field.one,))
-
-    @classmethod
-    def monomial(cls, field: CycloField, degree: int, coeff=None) -> "TPoly":
-        if coeff is None:
-            coeff = field.one
-        return cls(field, (field.zero,) * degree + (coeff,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def valuation(self) -> int:
-        """Order of vanishing at t = 0; degree + 1 == len for zero."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return len(self.coeffs)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TPoly)
-            and self.field.n == other.field.n
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field.n, self.coeffs))
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return TPoly(self.field, out)
-
-    def __neg__(self) -> "TPoly":
-        return TPoly(self.field, (-c for c in self.coeffs))
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        return self + (-other)
-
-    def at_one(self) -> CycloElem:
-        acc = self.field.zero
-        for c in self.coeffs:
-            acc = acc + c
-        return acc
-
-    def div_t_exact(self) -> "TPoly":
-        if self.coeffs and self.coeffs[0]:
-            raise ValueError("not divisible by t: nonzero constant term")
-        return TPoly(self.field, self.coeffs[1:])
-
-    def div_one_minus_t_exact(self) -> "TPoly":
-        """Exact division by (1 - t); the value at t = 1 must vanish."""
-        # synthetic division: if p = (1 - t) q then q_i = sum_{j<=i} p_j
-        acc = self.field.zero
-        out = []
-        for c in self.coeffs:
-            acc = acc + c
-            out.append(acc)
-        if out and out[-1]:
-            raise ValueError("not divisible by 1 - t: nonzero remainder")
-        return TPoly(self.field, out[:-1])
-
-
-def dq(p: TPoly) -> TPoly:
+def dq(p: Poly) -> Poly:
     """q-difference operator: (p(t) - p(q t)) / t, with q = zeta_n."""
     field = p.field
-    out = [
-        c - c * field.zeta_pow(m)
-        for m, c in enumerate(p.coeffs)
-    ]
-    shifted = TPoly(field, out)
-    return shifted.div_t_exact()
+    out = [c - c * field.zeta_pow(m) for m, c in enumerate(p.coeffs)]
+    return Poly(out, field).div_t_exact()
 
 
-def polylog(index: Index, n: int, star: bool = False) -> TPoly:
+def polylog(index: Index, n: int, star: bool = False) -> Poly:
     """Truncated polylogarithm: the polynomial in t of degree < n whose
     t^(m1) coefficient sums 1 / prod (1 - q^(m_i))^(k_i) over chains
     below m1.  Strict chains by default, non-strict with star.
@@ -414,10 +322,10 @@ def polylog(index: Index, n: int, star: bool = False) -> TPoly:
     with the weights (1 - q^m)^(-k) in place of q^((k-1)m) / [m]^k.
     """
     if index.depth == 0:
-        return TPoly.one(get_field(n))
+        return Poly([1], get_field(n))
     backend = exact_backend(n)
     terms = _outer_terms(index.parts, backend, star, backend.polylog_row)
-    return TPoly(backend.field, [backend.zero] + terms)
+    return Poly([backend.zero] + terms, backend.field)
 
 
 def verify_lemma_3_2(n: int, weight_cap: int) -> list[VerificationReport]:
@@ -429,16 +337,16 @@ def verify_lemma_3_2(n: int, weight_cap: int) -> list[VerificationReport]:
 
     field = get_field(n)
     reports = []
-    geom = TPoly(field, (field.one,) * (n - 1))  # (1 - t^(n-1)) / (1 - t)
+    geom = Poly([field.one] * (n - 1), field)  # (1 - t^(n-1)) / (1 - t)
     seen: dict = {}
 
-    def pl(index: Index, star: bool = False) -> TPoly:
+    def pl(index: Index, star: bool = False) -> Poly:
         key = (index.parts, star)
         if key not in seen:
             seen[key] = polylog(index, n, star)
         return seen[key]
 
-    def render(p: TPoly) -> str:
+    def render(p: Poly) -> str:
         return " ; ".join(str(c) for c in p.coeffs) if p else "0"
 
     for k in range(1, weight_cap + 1):
@@ -453,7 +361,7 @@ def verify_lemma_3_2(n: int, weight_cap: int) -> list[VerificationReport]:
                         rhs = pl(lowered).div_t_exact()
                     else:
                         lr = pl(rest)
-                        num = lr - TPoly.monomial(field, n - 1, lr.at_one())
+                        num = lr - Poly.monomial(n - 1, lr.at_one(), field)
                         rhs = num.div_one_minus_t_exact()
                 rep = compare(
                     "polylog-dq",
@@ -474,7 +382,7 @@ def verify_lemma_3_2(n: int, weight_cap: int) -> list[VerificationReport]:
                         rhs = pl(lowered, star=True).div_t_exact()
                     elif r >= 2:
                         lr = pl(rest, star=True)
-                        num = lr - TPoly.monomial(field, n, lr.at_one())
+                        num = lr - Poly.monomial(n, lr.at_one(), field)
                         rhs = num.div_one_minus_t_exact().div_t_exact()
                     else:
                         rhs = geom

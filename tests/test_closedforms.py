@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from qmhs.closedforms import (
     Poly2,
-    _p2_series_log,
+    _companion,
+    _series_log,
     bareiss_det,
     conjecture_check,
     depth_one_bar,
@@ -14,6 +16,7 @@ from qmhs.closedforms import (
     kkk_closed,
     kkk_general,
 )
+from qmhs.exactnum import Poly
 from qmhs.mhs import Index, zbar
 
 
@@ -104,16 +107,6 @@ def test_kkk_general_matches_direct_sums():
                 assert got == table[(n, r)], (k, n, r)
 
 
-def _truncated_product(a, b, xmax, ymax):
-    out = {}
-    for (x1, y1), c1 in a.items():
-        for (x2, y2), c2 in b.items():
-            e = (x1 + x2, y1 + y2)
-            if e[0] <= xmax and e[1] <= ymax:
-                out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
 def test_series_log_turns_products_into_sums():
     rng = random.Random(61)
     xmax, ymax = 3, 5
@@ -123,26 +116,25 @@ def test_series_log_turns_products_into_sums():
         for _ in range(6):
             e = (rng.randint(0, xmax), rng.randint(1, ymax))
             f[e] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        return {e: c for e, c in f.items() if c}
+        return Poly2(f)
 
     for _ in range(10):
         f, g = random_series(), random_series()
-        lhs = _p2_series_log(_truncated_product(f, g, xmax, ymax), xmax, ymax)
-        rhs = dict(_p2_series_log(f, xmax, ymax))
-        for e, c in _p2_series_log(g, xmax, ymax).items():
-            rhs[e] = rhs.get(e, 0) + c
-        assert lhs == {e: c for e, c in rhs.items() if c}
+        # _series_log truncates its input at X^xmax and Y^ymax
+        lhs = _series_log(f * g, xmax, ymax)
+        rhs = [a + b for a, b in zip(_series_log(f, xmax, ymax), _series_log(g, xmax, ymax))]
+        assert lhs == rhs
     # log (1 - Y) = -sum Y^d / d
-    assert _p2_series_log({(0, 0): 1, (0, 1): -1}, 0, 4) == {
-        (0, d): Fraction(-1, d) for d in range(1, 5)
-    }
+    assert _series_log(Poly2({(0, 0): 1, (0, 1): -1}), 0, 4) == [Poly()] + [
+        Poly([Fraction(-1, d)]) for d in range(1, 5)
+    ]
 
 
 def test_series_log_rejects_y0_row_other_than_one():
     with pytest.raises(ValueError):
-        _p2_series_log({(0, 0): 1, (1, 0): 1}, 3, 3)
+        _series_log(Poly2({(0, 0): 1, (1, 0): 1}), 3, 3)
     with pytest.raises(ValueError):
-        _p2_series_log({(0, 0): 2, (0, 1): 1}, 3, 3)
+        _series_log(Poly2({(0, 0): 2, (0, 1): 1}), 3, 3)
 
 
 def test_poly2_arithmetic_and_exact_division():
@@ -159,18 +151,24 @@ def test_poly2_arithmetic_and_exact_division():
         Poly2({(1, 0): 1, (0, 0): 1}).div_exact(Poly2({(0, 1): 1}))
 
 
+def _cofactor_det(sub):
+    """Cofactor expansion along the first row, over Poly or Poly2 entries:
+    the former minor routine of `exterior_F`, kept as the oracle."""
+    size = len(sub)
+    if size == 1:
+        return sub[0][0]
+    acc = type(sub[0][0])()
+    for j in range(size):
+        if not sub[0][j]:
+            continue
+        rest = [row[:j] + row[j + 1 :] for row in sub[1:]]
+        term = sub[0][j] * _cofactor_det(rest)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
 def test_bareiss_matches_cofactor_expansion():
     rng = random.Random(59)
-
-    def cofactor(m):
-        if len(m) == 1:
-            return m[0][0]
-        acc = Poly2()
-        for j in range(len(m)):
-            rest = [row[:j] + row[j + 1:] for row in m[1:]]
-            term = m[0][j] * cofactor(rest)
-            acc = acc + term if j % 2 == 0 else acc - term
-        return acc
 
     for size in (2, 3, 4):
         for _ in range(10):
@@ -181,10 +179,27 @@ def test_bareiss_matches_cofactor_expansion():
                 ]
                 for _ in range(size)
             ]
-            assert bareiss_det(m) == cofactor(m)
+            assert bareiss_det(m) == _cofactor_det(m)
     # singular matrix
     row = [Poly2.const(1), Poly2.const(2)]
     assert not bareiss_det([row, row])
+
+
+def test_bareiss_matches_cofactor_on_companion_minors():
+    for k in range(1, 7):
+        comp = _companion(k)
+        for l in range(1, k + 1):
+            for rows in combinations(range(k), l):
+                for cols in combinations(range(k), l):
+                    sub = [[comp[i][j] for j in cols] for i in rows]
+                    assert bareiss_det(sub) == _cofactor_det(sub), (k, rows, cols)
+
+
+def test_bareiss_singular_returns_zero_of_entry_type():
+    # column 0 vanishes, so elimination stops at the first pivot
+    assert bareiss_det([[Poly(), Poly([1])], [Poly(), Poly([2])]]) == Poly()
+    zero, one = Poly2(), Poly2.const(1)
+    assert bareiss_det([[zero, one], [zero, one + one]]) == Poly2()
 
 
 def test_conjecture_family1_examples():

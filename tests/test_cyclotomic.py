@@ -12,7 +12,7 @@ from qmhs.cyclotomic import (
     q_integer,
     render_cyclo,
 )
-from qmhs.exactnum import RatPoly
+from qmhs.exactnum import Poly
 
 
 def totient(n):
@@ -20,11 +20,11 @@ def totient(n):
 
 
 def test_cyclotomic_polynomial_small():
-    assert cyclotomic_polynomial(1) == RatPoly([-1, 1])
-    assert cyclotomic_polynomial(2) == RatPoly([1, 1])
-    assert cyclotomic_polynomial(4) == RatPoly([1, 0, 1])
-    assert cyclotomic_polynomial(6) == RatPoly([1, -1, 1])
-    assert cyclotomic_polynomial(12) == RatPoly([1, 0, -1, 0, 1])
+    assert cyclotomic_polynomial(1) == Poly([-1, 1])
+    assert cyclotomic_polynomial(2) == Poly([1, 1])
+    assert cyclotomic_polynomial(4) == Poly([1, 0, 1])
+    assert cyclotomic_polynomial(6) == Poly([1, -1, 1])
+    assert cyclotomic_polynomial(12) == Poly([1, 0, -1, 0, 1])
 
 
 def test_cyclotomic_polynomial_structure():
@@ -34,7 +34,7 @@ def test_cyclotomic_polynomial_structure():
         assert phi.coeffs[-1] == 1  # monic
         assert all(c.denominator == 1 for c in phi.coeffs)
         # divides x^n - 1 exactly
-        xn1 = RatPoly.monomial(n) - RatPoly([1])
+        xn1 = Poly.monomial(n) - Poly([1])
         q, r = xn1.divmod(phi)
         assert not r
 
@@ -173,3 +173,19 @@ def test_pow_equals_repeated_multiplication():
         for _ in range(abs(e)):
             expected = expected * (x if e > 0 else x_inv)
         assert x ** e == expected, e
+
+
+def test_render_reads_coefficients_once(monkeypatch):
+    field = get_field(97)
+    a = q_integer(5, field) * field.inv_one_minus_zeta_pow(3)
+    expected = render_cyclo(a)
+    builds = []
+    coeffs = CycloElem.coeffs
+
+    def counting(self):
+        builds.append(1)
+        return coeffs.fget(self)
+
+    monkeypatch.setattr(CycloElem, "coeffs", property(counting))
+    assert render_cyclo(a) == expected
+    assert len(builds) == 1

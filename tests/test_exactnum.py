@@ -3,14 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from qmhs.exactnum import (
-    RatPoly,
-    bernoulli,
-    binom_convolution,
-    binomial,
-    poly_xgcd,
-    series_inverse,
-)
+from qmhs.exactnum import RATIONALS, Poly, bernoulli, binomial, poly_xgcd
+from qmhs.multiseries import MultiSeries
+
+
+def binom_convolution(n: int, m: int) -> int:
+    """Sum of C(n-a-1, b) * C(n-b-1, a) over a, b >= 0 with a + b = m.
+
+    Requires n > m >= 0.  The closed form of this sum is C(2n-m-1, m),
+    which the tests below assert.
+    """
+    if not n > m >= 0:
+        raise ValueError(f"binom_convolution requires n > m >= 0, got n={n}, m={m}")
+    return sum(binomial(n - a - 1, m - a) * binomial(n - m + a - 1, a) for a in range(m + 1))
 
 
 def test_binomial_small():
@@ -67,16 +72,16 @@ def test_binom_convolution_rejects_bad_input():
 
 
 def _random_poly(rng, max_deg=6):
-    return RatPoly(
+    return Poly(
         [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, max_deg))]
     )
 
 
 def test_ratpoly_canonical_form():
-    assert RatPoly([1, 2, 0, 0]).coeffs == (Fraction(1), Fraction(2))
-    assert RatPoly([]).degree == -1
-    assert not RatPoly([0, 0])
-    assert RatPoly.monomial(3).degree == 3
+    assert Poly([1, 2, 0, 0]).coeffs == (Fraction(1), Fraction(2))
+    assert Poly([]).degree == -1
+    assert not Poly([0, 0])
+    assert Poly.monomial(3).degree == 3
 
 
 def test_ratpoly_ring_properties():
@@ -101,15 +106,15 @@ def test_ratpoly_divmod_roundtrip():
         assert q * g + r == f
         assert r.degree < g.degree
     with pytest.raises(ZeroDivisionError):
-        RatPoly([1]).divmod(RatPoly())
+        Poly([1]).divmod(Poly())
 
 
 def test_ratpoly_div_exact():
-    f = RatPoly([1, 2, 1])  # (1+x)^2
-    g = RatPoly([1, 1])
+    f = Poly([1, 2, 1])  # (1+x)^2
+    g = Poly([1, 1])
     assert f.div_exact(g) == g
     with pytest.raises(ValueError):
-        RatPoly([1, 1, 1]).div_exact(RatPoly([1, 1]))
+        Poly([1, 1, 1]).div_exact(Poly([1, 1]))
 
 
 def test_poly_xgcd():
@@ -121,15 +126,21 @@ def test_poly_xgcd():
 
 
 def test_series_inverse():
+    # series inversion as a one-variable MultiSeries.invert, on series in x alone
+    def inverse(coeffs, prec):
+        s = MultiSeries(RATIONALS, prec - 1, {(d, 0, 0): c for d, c in enumerate(coeffs)})
+        inv = s.invert()
+        return [inv.coefficient(d, 0, 0) for d in range(prec)]
+
     # 1/(1 - x) = 1 + x + x^2 + ...
-    inv = series_inverse([Fraction(1), Fraction(-1)], 6)
+    inv = inverse([Fraction(1), Fraction(-1)], 6)
     assert inv == [Fraction(1)] * 6
     rng = random.Random(17)
     for _ in range(20):
         coeffs = [Fraction(rng.randint(1, 5))] + [
             Fraction(rng.randint(-4, 4)) for _ in range(5)
         ]
-        inv = series_inverse(coeffs, 7)
+        inv = inverse(coeffs, 7)
         # convolution with the original gives 1, 0, 0, ...
         for d in range(7):
             conv = sum(

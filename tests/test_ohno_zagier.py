@@ -4,11 +4,11 @@ import pytest
 
 from qmhs.cli import main as cli_main
 from qmhs.cyclotomic import CycloElem, cyclotomic_polynomial, get_field
-from qmhs.mhs import Index, enumerate_indices, exact_backend, numeric_backend, zbar
+from qmhs.exactnum import Poly
+from qmhs.mhs import Index, _zbar_cached, enumerate_indices, exact_backend, numeric_backend, zbar
 from qmhs import ohno_zagier
 from qmhs.multiseries import MultiSeries, ms_substitute
 from qmhs.ohno_zagier import (
-    TPoly,
     dq,
     f_bruteforce,
     f_series,
@@ -149,8 +149,8 @@ def test_polylog_degree_and_valuation():
 def test_dq_on_monomials():
     f5 = get_field(5)
     for m in range(1, 5):
-        got = dq(TPoly.monomial(f5, m))
-        expect = TPoly.monomial(f5, m - 1, f5.one - f5.zeta_pow(m))
+        got = dq(Poly.monomial(m, field=f5))
+        expect = Poly.monomial(m - 1, f5.one - f5.zeta_pow(m), f5)
         assert got == expect
 
 
@@ -164,9 +164,9 @@ def test_dq_recursions_all_small_indices():
 def test_tpoly_exact_division_guards():
     f3 = get_field(3)
     with pytest.raises(ValueError):
-        TPoly.one(f3).div_t_exact()
+        Poly([1], f3).div_t_exact()
     with pytest.raises(ValueError):
-        TPoly(f3, (f3.one, f3.one)).div_one_minus_t_exact()
+        Poly([f3.one, f3.one], f3).div_one_minus_t_exact()
 
 
 def m_major_polylog(index, n, star=False):
@@ -177,7 +177,7 @@ def m_major_polylog(index, n, star=False):
     field = get_field(n)
     r = index.depth
     if r == 0:
-        return TPoly.one(field)
+        return Poly([1], field)
     inv = [None] + [field.inv_one_minus_zeta_pow(m) for m in range(1, n)]
 
     def w(k, m):
@@ -198,7 +198,7 @@ def m_major_polylog(index, n, star=False):
             coeffs[m] = w(parts[0], m) * upper
             for j in range(2, r + 1):
                 acc[j] = acc[j] + w(parts[j - 1], m) * acc[j + 1]
-    return TPoly(field, coeffs)
+    return Poly(coeffs, field)
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -268,6 +268,10 @@ def test_field_caches_are_bounded():
 
 def test_numeric_backend_cache_is_bounded():
     assert numeric_backend.cache_info().maxsize is not None
+
+
+def test_zbar_cache_is_bounded():
+    assert _zbar_cached.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize("star", (False, True))

@@ -1,5 +1,5 @@
-"""Property-based checks (hypothesis) of the field, the chain DP and the
-truncated series."""
+"""Property-based checks (hypothesis) of the field, the chain DP, the
+polynomials and the truncated series."""
 
 from fractions import Fraction
 from math import gcd
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmhs.cyclotomic import CycloElem, get_field, parse_cyclo, render_cyclo
+from qmhs.exactnum import Poly
 from qmhs.mhs import Index, brute_force, z, z_star
 from qmhs.multiseries import RATIONALS, MultiSeries, monomial_weight, ms_substitute
 
@@ -94,6 +95,26 @@ def series_fields(draw):
     field = get_field(n)
     vec = st.lists(small_rationals, min_size=field.degree, max_size=field.degree)
     return field, vec.map(lambda cs: CycloElem(field, cs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_fields(), st.data())
+def test_poly_ring_axioms_and_exact_divisions(fe, data):
+    field, elems = fe
+    a, b, c = (Poly(data.draw(st.lists(elems, max_size=5)), field) for _ in range(3))
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert (a + b) * c == a * c + b * c
+    assert a - a == Poly([], field) and -(-a) == a
+    if b:
+        q, r = a.divmod(b)
+        assert q * b + r == a and r.degree < b.degree
+        assert (a * b).div_exact(b) == a
+    t = Poly.monomial(1, field=field)
+    assert (t * a).div_t_exact() == a
+    assert ((Poly([1], field) - t) * a).div_one_minus_t_exact() == a
+    assert a.at_one() == a(field.one)
 
 
 def series(draw, field, elems, cap, min_weight=0, unit=False):
