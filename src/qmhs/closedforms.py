@@ -2,8 +2,9 @@
 
 Three routes are implemented: the explicit formulas for k = 1, 2, 3, the
 depth-one generating series for all k, and a general-k construction that
-realizes the symmetric functions of an inexplicit root system through
-exterior powers of a companion matrix.  A report-only checker probes the
+reaches the symmetric functions of an inexplicit root system through
+Newton's identities on the power sums of its k roots over Q[X], with no
+determinant and no bivariate arithmetic.  A report-only checker probes the
 two conjectural palindromic-insertion identities.
 """
 
@@ -47,34 +48,18 @@ def kkk_closed(k: int, r: int, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Bivariate polynomials over Q and fraction-free determinants.
+# The general-k construction, on the power sums of the root system.
 
 
 class Poly2:
-    """Sparse polynomial in (X, Y) over the rationals.
-
-    Supports the ring operations plus exact division, which is all the
-    fraction-free elimination needs.  Immutable.
-    """
+    """Sparse polynomial in (X, Y) over the rationals: the immutable value
+    `exterior_F` returns, keyed by exponent pairs (dx, dy)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict | None = None):
-        clean = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    clean[e] = c
-        self.coeffs = clean
-
-    @classmethod
-    def const(cls, c) -> "Poly2":
-        return cls({(0, 0): Fraction(c)})
-
-    @classmethod
-    def term(cls, c, dx: int, dy: int) -> "Poly2":
-        return cls({(dx, dy): Fraction(c)})
+        fractions = ((e, Fraction(c)) for e, c in (coeffs or {}).items())
+        self.coeffs = {e: c for e, c in fractions if c}
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -84,51 +69,6 @@ class Poly2:
 
     def __hash__(self):
         return hash(tuple(sorted(self.coeffs.items())))
-
-    def __add__(self, other: "Poly2") -> "Poly2":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, ZERO) + c
-        return Poly2(out)
-
-    def __neg__(self) -> "Poly2":
-        return Poly2({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly2") -> "Poly2":
-        out: dict = {}
-        for (x1, y1), c1 in self.coeffs.items():
-            for (x2, y2), c2 in other.coeffs.items():
-                e = (x1 + x2, y1 + y2)
-                out[e] = out.get(e, ZERO) + c1 * c2
-        return Poly2(out)
-
-    def _leading(self) -> tuple[tuple[int, int], Fraction]:
-        # graded lexicographic order; any monomial order works for the
-        # single-divisor exact division below
-        e = max(self.coeffs, key=lambda e: (e[0] + e[1], e))
-        return e, self.coeffs[e]
-
-    def div_exact(self, divisor: "Poly2") -> "Poly2":
-        """Exact quotient; raises ValueError if the division leaves a
-        remainder.  Leading-term cancellation terminates whenever the
-        divisor really divides self."""
-        if not divisor:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = self
-        (de, dc) = divisor._leading()
-        out: dict = {}
-        while rem:
-            (re, rc) = rem._leading()
-            qe = (re[0] - de[0], re[1] - de[1])
-            if qe[0] < 0 or qe[1] < 0:
-                raise ValueError("inexact bivariate division")
-            qc = rc / dc
-            out[qe] = out.get(qe, ZERO) + qc
-            rem = rem - Poly2.term(qc, *qe) * divisor
-        return Poly2(out)
 
     def __repr__(self):
         return f"Poly2({self.coeffs!r})"
@@ -148,132 +88,99 @@ class Poly2:
         return " + ".join(parts)
 
 
-def bareiss_det(matrix: list[list]):
-    """Determinant by fraction-free elimination (E. H. Bareiss, Math. Comp.
-    22, 1968), over Poly or Poly2 entries.
+def _power_sums(e: list[Poly], m_max: int, xmax: int) -> list[Poly]:
+    """Power sums P_0..P_m_max of the roots whose elementary symmetric
+    functions are e[0] = 1, e[1], ..., e[k], by Newton's identities
 
-    Entries must support *, -, truth testing and exact division by the
-    previous pivot; intermediate entries stay polynomial.  A singular
-    matrix gives the zero entry of the type it holds.
-    """
-    m = [row[:] for row in matrix]
-    size = len(m)
-    if size == 0:
-        return Poly2.const(1)
-    sign = 1
-    prev = None
-    for k in range(size - 1):
-        if not m[k][k]:
-            for i in range(k + 1, size):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return m[k][k]  # column k is zero from row k down
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num if prev is None else num.div_exact(prev)
-            m[i][k] = None  # eliminated; never read again
-        prev = m[k][k]
-    det = m[size - 1][size - 1]
-    return -det if sign < 0 else det
+        P_m = sum_{0<i<m} (-1)^(i-1) e_i P_(m-i) + (-1)^(m-1) m e_m,
+
+    with e_i = 0 for i > k, truncated at X^xmax after every step."""
+    k = len(e) - 1
+    p = [Poly([k])]
+    for m in range(1, m_max + 1):
+        acc = e[m].scale((-1) ** (m - 1) * m) if m <= k else Poly()
+        for i in range(1, min(k, m - 1) + 1):
+            term = e[i] * p[m - i]
+            acc = acc + term if i % 2 else acc - term
+        p.append(Poly(acc.coeffs[: xmax + 1]))
+    return p
 
 
-def _companion(k: int) -> list[list[Poly]]:
-    """Companion matrix over Q[X] of (1-Y)^k + Y^(k-1) X viewed as a monic
-    degree-k polynomial in Y."""
-    # monic coefficients p_j of Y^j for j < k, after scaling by (-1)^k
-    sgn = (-1) ** k
-    mat = [[Poly() for _ in range(k)] for _ in range(k)]
-    for i in range(1, k):
-        mat[i][i - 1] = Poly([1])
-    for j in range(k):
-        xcoef = sgn if j == k - 1 else 0
-        mat[j][k - 1] = -Poly([sgn * (-1) ** j * comb(k, j), xcoef])
-    return mat
+def _elementary(p: list[Poly], j_max: int, xmax: int) -> list[Poly]:
+    """Elementary symmetric functions e_0..e_j_max from the power sums
+    p[1], ..., p[j_max] (p[0] is not read), by Newton's identities
+
+        e_j = (1/j) sum_{0<i<=j} (-1)^(i-1) e_(j-i) P_i,
+
+    truncated at X^xmax after every step.  The truncations lose nothing
+    below X^(xmax+1), because the only divisions are by integers."""
+    e = [Poly([1])]
+    for j in range(1, j_max + 1):
+        acc = Poly()
+        for i in range(1, j + 1):
+            term = e[j - i] * p[i]
+            acc = acc + term if i % 2 else acc - term
+        e.append(Poly(acc.coeffs[: xmax + 1]).scale(Fraction(1, j)))
+    return e
+
+
+def _root_power_sums(k: int, m_max: int, xmax: int) -> list[Poly]:
+    """Power sums P_0..P_m_max of the k roots alpha_i of the monic form
+    of (1-Y)^k + Y^(k-1) X: e_1 = k + (-1)^(k-1) X, e_i = C(k, i) for
+    i >= 2.  P[::d] are the power sums of the alpha_i^d."""
+    e = [Poly([1]), Poly([k, (-1) ** (k - 1)])] + [Poly([comb(k, i)]) for i in range(2, k + 1)]
+    return _power_sums(e, m_max, xmax)
 
 
 def exterior_F(k: int, l: int) -> Poly2:
     """The polynomial whose roots in Y are the inverses of all l-fold
-    products of the root system of (1-Y)^k + Y^(k-1) X.
+    products of the root system of (1-Y)^k + Y^(k-1) X:
 
-    Built exactly as det(I - Y * Lambda^l) where Lambda^l is the l-th
-    compound of the companion matrix, evaluated by fraction-free
-    elimination over Q[X, Y].  l = 0 returns 1 - Y by convention.
+        F = prod_{|S| = l} (1 - Y alpha_S) = sum_j (-1)^j E_j(alpha_S) Y^j.
+
+    The power sums of the alpha_S are s_d = e_l(alpha^d), so Newton's
+    identities give F from the power sums of the alpha_i.  F has degree
+    at most C(k, l) in X and in Y, so every step drops the powers of X
+    above C(k, l).  l = 0 returns 1 - Y by convention.
     """
     if k < 1 or not 0 <= l <= k:
         raise ValueError("need k >= 1 and 0 <= l <= k")
     if l == 0:
         return Poly2({(0, 0): ONE, (0, 1): -ONE})
-    from itertools import combinations
-
-    comp = _companion(k)
-    subsets = list(combinations(range(k), l))
-    m: list[list[Poly2]] = []
-    for rows in subsets:
-        row = []
-        for cols in subsets:
-            minor = bareiss_det([[comp[i][j] for j in cols] for i in rows])
-            entry = Poly2({(dx, 1): -c for dx, c in enumerate(minor.coeffs) if c})
-            if rows == cols:
-                entry = entry + Poly2.const(1)
-            row.append(entry)
-        m.append(row)
-    return bareiss_det(m)
-
-
-# ---------------------------------------------------------------------------
-# Truncated bivariate series log.
-
-
-def _series_log(f: Poly2, xmax: int, ymax: int) -> list[Poly]:
-    """log f for a series f in (X, Y) whose Y^0 row is 1, truncated at
-    X^xmax and Y^ymax, as its rows g_0 = 0, g_1, ..., g_ymax in Y, each a
-    polynomial in X.  With g = log f, the derivative in Y gives
-    f' = f * g', so row by row
-
-        g_d = f_d - (1/d) * sum_{0<j<d} j * g_j * f_(d-j),
-
-    truncated at X^xmax."""
-    dense = [[ZERO] * (xmax + 1) for _ in range(ymax + 1)]
-    for (dx, dy), c in f.coeffs.items():
-        if dx <= xmax and dy <= ymax:
-            dense[dy][dx] = c
-    rows = [Poly(row) for row in dense]
-    if rows[0] != Poly([1]):
-        raise ValueError("series log requires the Y^0 row to be 1")
-    g = [Poly()]
-    for d in range(1, ymax + 1):
-        acc = Poly()
-        for j in range(1, d):
-            acc = acc + (g[j] * rows[d - j]).scale(j)
-        g.append(rows[d] - Poly(acc.coeffs[: xmax + 1]).scale(Fraction(1, d)))
-    return g
+    size = comb(k, l)
+    P = _root_power_sums(k, l * size, size)
+    s = [Poly()] + [_elementary(P[::d], l, size)[l] for d in range(1, size + 1)]
+    E = _elementary(s, size, size)
+    return Poly2({
+        (dx, j): -c if j % 2 else c
+        for j, ej in enumerate(E)
+        for dx, c in enumerate(ej.coeffs)
+    })
 
 
 def kkk_general(k: int, n_max: int, r_max: int) -> dict[tuple[int, int], Fraction]:
-    """Table of zbar({k}^r, n) for 1 <= n <= n_max, 0 <= r <= r_max, by
-    expanding the signed log of the alternating product of the exterior
-    polynomials and dividing out one power of the depth variable."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    total = [Poly()] * (n_max + 1)
-    for l in range(0, k + 1):
-        for d, row in enumerate(_series_log(exterior_F(k, l), r_max + 1, n_max)):
-            total[d] = total[d] - row if l % 2 else total[d] + row
-    # the X^0 slice must vanish: at X = 0 all roots collapse to 1 and the
-    # alternating product telescopes to 1
-    if any(row.coeffs and row.coeffs[0] for row in total):
-        raise ValueError("internal error: log expansion has an X^0 term")
-    sign = (-1) ** (k - 1)
+    """Table of zbar({k}^r, n) for 1 <= n <= n_max, 0 <= r <= r_max.
+
+    The signed log of the exterior polynomials, sum_l (-1)^l log
+    exterior_F(k, l), has the Y^n row -(1/n) prod_i (1 - alpha_i^n), where
+    prod_i (1 - alpha_i^n) = sum_j (-1)^j e_j(alpha^n).  zbar({k}^r, n) is
+    (-1)^k / n^k times the X^(r+1) coefficient of that product."""
+    if k < 1 or n_max < 0 or r_max < 0:
+        raise ValueError("need k >= 1, n_max >= 0 and r_max >= 0")
+    xmax = r_max + 1
+    P = _root_power_sums(k, k * n_max, xmax)
     table: dict[tuple[int, int], Fraction] = {}
     for n in range(1, n_max + 1):
-        cs = total[n].coeffs
+        acc = Poly()
+        for j, ej in enumerate(_elementary(P[::n], k, xmax)):
+            acc = acc - ej if j % 2 else acc + ej
+        # the X^0 slice must vanish: at X = 0 all roots collapse to 1
+        if acc.coeffs and acc.coeffs[0]:
+            raise ValueError("internal error: log expansion has an X^0 term")
+        cs = acc.coeffs
         for r in range(0, r_max + 1):
-            c = cs[r + 1] * sign if r + 1 < len(cs) else ZERO
-            table[(n, r)] = c / Fraction(n) ** (k - 1)
+            c = cs[r + 1] if r + 1 < len(cs) else ZERO
+            table[(n, r)] = (-1) ** k * c / Fraction(n) ** k
     return table
 
 

@@ -171,6 +171,10 @@ def _run(fn, instances, parallelism: int) -> list[VerificationReport]:
     return out
 
 
+def _given(value: int | None, default: int) -> int:
+    return default if value is None else value
+
+
 def run_suite(
     name: str,
     n_max: int | None = None,
@@ -179,7 +183,12 @@ def run_suite(
     r_max: int | None = None,
     parallelism: int = 1,
 ) -> list[VerificationReport]:
-    """Run one named suite over its configured ranges."""
+    """Run one named suite over its configured ranges.  A range left as
+    None takes the suite's default; an explicit 0 is not a default."""
+    for flag, value, low in (("n_max", n_max, 1), ("k_max", k_max, 1),
+                             ("r_max", r_max, 1), ("cap", cap, 0)):
+        if value is not None and value < low:
+            raise ValueError(f"{flag} must be at least {low}")
     if name == "all":
         out = []
         for sub in SUITES[:-1]:
@@ -189,8 +198,8 @@ def run_suite(
             )
         return out
     if name == "thm11":
-        nm, rm = n_max or 20, r_max or 6
-        km = min(k_max or 3, 3)
+        nm, rm = _given(n_max, 20), _given(r_max, 6)
+        km = min(_given(k_max, 3), 3)
         instances = [
             (n, k, r)
             for n in range(2, nm + 1)
@@ -199,16 +208,16 @@ def run_suite(
         ]
         reports = _run(_thm11_instance, instances, parallelism)
         reports.extend(
-            _run(_depth1_instance, [(n, k_max or 12) for n in range(1, nm + 1)],
+            _run(_depth1_instance, [(n, _given(k_max, 12)) for n in range(1, nm + 1)],
                  parallelism)
         )
         return reports
     if name == "thm12":
-        nm, c = n_max or 10, cap or 6
+        nm, c = _given(n_max, 10), _given(cap, 6)
         return _run(_thm12_instance, [(n, c) for n in range(1, nm + 1)], parallelism)
     if name == "sumformula":
-        nm, km = n_max or 15, k_max or 8
-        rm = r_max or 6
+        nm, km = _given(n_max, 15), _given(k_max, 8)
+        rm = _given(r_max, 6)
         instances = [
             (n, k, r, km)
             for n in range(2, nm + 1)
@@ -217,13 +226,13 @@ def run_suite(
         ]
         return _run(_sumformula_instance, instances, parallelism)
     if name == "phi":
-        nm, c = n_max or 6, cap or 4
+        nm, c = _given(n_max, 6), _given(cap, 4)
         return _run(_phi_instance, [(n, c) for n in range(2, nm + 1)], parallelism)
     if name == "polylog":
-        nm, c = n_max or 8, cap or 4
+        nm, c = _given(n_max, 8), _given(cap, 4)
         return _run(_polylog_instance, [(n, c) for n in range(2, nm + 1)], parallelism)
     if name == "xi":
-        reports = _xi_kernel_reports(cap or 8)
+        reports = _xi_kernel_reports(_given(cap, 8))
         reports.extend(_xi_numeric_reports())
         return reports
     raise ValueError(f"unknown suite: {name}")

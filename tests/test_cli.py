@@ -263,6 +263,41 @@ def test_table_kkk_matches_closed_form(capsys):
         assert Fraction(row["numerator"], row["denominator"]) == expect
 
 
+@pytest.mark.parametrize("flag, value", [("--n-max", "-1"), ("--r-max", "-2"), ("--k", "0")])
+def test_table_kkk_bad_range_is_input_error(capsys, flag, value):
+    code, out, err = run_cli(capsys, "table", "kkk", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_table_kkk_empty_range_is_empty_table(capsys):
+    code, out, _ = run_cli(capsys, "table", "kkk", "--k", "3", "--n-max", "0",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out) == []
+
+
+def test_verify_takes_zero_cap_as_given(capsys):
+    code, out, _ = run_cli(capsys, "verify", "thm12", "--n-max", "2", "--cap", "0",
+                           "--format", "json")
+    assert code == 0
+    reports = json.loads(out)
+    assert [r["params"] for r in reports] == [{"n": 1, "cap": 0}, {"n": 2, "cap": 0}]
+    assert all(r["status"] == "pass" for r in reports)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--n-max", "0"), ("--k-max", "0"), ("--r-max", "0"), ("--cap", "-1")],
+)
+def test_verify_range_below_minimum_is_input_error(capsys, flag, value):
+    code, out, err = run_cli(capsys, "verify", "thm11", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_table_zbar_matches_kkk_table(capsys):
     code, out, _ = run_cli(
         capsys, "table", "zbar", "--k", "2", "--n-max", "4", "--r-max", "2",

@@ -1,22 +1,18 @@
-import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
+import sympy
 
 from qmhs.closedforms import (
     Poly2,
-    _companion,
-    _series_log,
-    bareiss_det,
     conjecture_check,
     depth_one_bar,
     exterior_F,
     kkk_closed,
     kkk_general,
 )
-from qmhs.exactnum import Poly
 from qmhs.mhs import Index, zbar
 
 
@@ -99,7 +95,7 @@ def test_kkk_general_examples():
 
 
 def test_kkk_general_matches_direct_sums():
-    for k in (4, 5):
+    for k in (4, 5, 6, 8):
         table = kkk_general(k, 8, 3)
         for n in range(1, 9):
             for r in range(1, 4):
@@ -107,99 +103,49 @@ def test_kkk_general_matches_direct_sums():
                 assert got == table[(n, r)], (k, n, r)
 
 
-def test_series_log_turns_products_into_sums():
-    rng = random.Random(61)
-    xmax, ymax = 3, 5
-
-    def random_series():
-        f = {(0, 0): Fraction(1)}
-        for _ in range(6):
-            e = (rng.randint(0, xmax), rng.randint(1, ymax))
-            f[e] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        return Poly2(f)
-
-    for _ in range(10):
-        f, g = random_series(), random_series()
-        # _series_log truncates its input at X^xmax and Y^ymax
-        lhs = _series_log(f * g, xmax, ymax)
-        rhs = [a + b for a, b in zip(_series_log(f, xmax, ymax), _series_log(g, xmax, ymax))]
-        assert lhs == rhs
-    # log (1 - Y) = -sum Y^d / d
-    assert _series_log(Poly2({(0, 0): 1, (0, 1): -1}), 0, 4) == [Poly()] + [
-        Poly([Fraction(-1, d)]) for d in range(1, 5)
-    ]
+def test_kkk_general_depth_one_matches_generating_series():
+    # r = 1 is the depth-one value, which depth_one_bar reads off a series
+    # that shares nothing with the root system
+    for k in (7, 12, 20):
+        table = kkk_general(k, 6, 1)
+        for n in range(1, 7):
+            assert table[(n, 1)] == depth_one_bar(n, k)[k - 1], (k, n)
 
 
-def test_series_log_rejects_y0_row_other_than_one():
-    with pytest.raises(ValueError):
-        _series_log(Poly2({(0, 0): 1, (1, 0): 1}), 3, 3)
-    with pytest.raises(ValueError):
-        _series_log(Poly2({(0, 0): 2, (0, 1): 1}), 3, 3)
+def test_kkk_general_rejects_bad_ranges():
+    for args in ((0, 3, 2), (3, -1, 2), (3, 3, -1)):
+        with pytest.raises(ValueError):
+            kkk_general(*args)
+    assert kkk_general(3, 0, 3) == {}
+    # r = 0 is the empty index, whose value is 1
+    assert kkk_general(3, 2, 0) == {(1, 0): 1, (2, 0): 1}
 
 
-def test_poly2_arithmetic_and_exact_division():
-    rng = random.Random(53)
-    for _ in range(30):
-        f = Poly2({(rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-5, 5))
-                   for _ in range(rng.randint(1, 5))})
-        g = Poly2({(rng.randint(0, 2), rng.randint(0, 2)): Fraction(rng.randint(-5, 5))
-                   for _ in range(rng.randint(1, 4))})
-        if not f or not g:
-            continue
-        assert (f * g).div_exact(g) == f
-    with pytest.raises(ValueError):
-        Poly2({(1, 0): 1, (0, 0): 1}).div_exact(Poly2({(0, 1): 1}))
+X, Y = sympy.symbols("X Y")
 
 
-def _cofactor_det(sub):
-    """Cofactor expansion along the first row, over Poly or Poly2 entries:
-    the former minor routine of `exterior_F`, kept as the oracle."""
-    size = len(sub)
-    if size == 1:
-        return sub[0][0]
-    acc = type(sub[0][0])()
-    for j in range(size):
-        if not sub[0][j]:
-            continue
-        rest = [row[:j] + row[j + 1 :] for row in sub[1:]]
-        term = sub[0][j] * _cofactor_det(rest)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+def _sympy_exterior(k: int, l: int) -> Poly2:
+    """det(I - Y * Lambda^l) in sympy, with Lambda^l the l-th compound of
+    the companion matrix of (1-Y)^k + Y^(k-1) X made monic in Y."""
+    monic = sympy.Poly((1 - Y) ** k + Y ** (k - 1) * X, Y).monic().all_coeffs()[::-1]
+    comp = sympy.zeros(k, k)
+    for i in range(k):
+        if i:
+            comp[i, i - 1] = 1
+        comp[i, k - 1] = -monic[i]
+    subsets = list(combinations(range(k), l))
+    compound = sympy.Matrix(
+        len(subsets), len(subsets),
+        lambda a, b: comp.extract(list(subsets[a]), list(subsets[b])).det(),
+    )
+    det = (sympy.eye(len(subsets)) - Y * compound).det(method="berkowitz")
+    return Poly2(sympy.Poly(sympy.expand(det), X, Y).as_dict())
 
 
-def test_bareiss_matches_cofactor_expansion():
-    rng = random.Random(59)
-
-    for size in (2, 3, 4):
-        for _ in range(10):
-            m = [
-                [
-                    Poly2({(rng.randint(0, 1), rng.randint(0, 1)): Fraction(rng.randint(-3, 3))})
-                    for _ in range(size)
-                ]
-                for _ in range(size)
-            ]
-            assert bareiss_det(m) == _cofactor_det(m)
-    # singular matrix
-    row = [Poly2.const(1), Poly2.const(2)]
-    assert not bareiss_det([row, row])
-
-
-def test_bareiss_matches_cofactor_on_companion_minors():
-    for k in range(1, 7):
-        comp = _companion(k)
-        for l in range(1, k + 1):
-            for rows in combinations(range(k), l):
-                for cols in combinations(range(k), l):
-                    sub = [[comp[i][j] for j in cols] for i in rows]
-                    assert bareiss_det(sub) == _cofactor_det(sub), (k, rows, cols)
-
-
-def test_bareiss_singular_returns_zero_of_entry_type():
-    # column 0 vanishes, so elimination stops at the first pivot
-    assert bareiss_det([[Poly(), Poly([1])], [Poly(), Poly([2])]]) == Poly()
-    zero, one = Poly2(), Poly2.const(1)
-    assert bareiss_det([[zero, one], [zero, one + one]]) == Poly2()
+def test_exterior_matches_sympy_compound_determinant():
+    for k in range(1, 5):
+        for l in range(0, k + 1):
+            assert exterior_F(k, l) == _sympy_exterior(k, l), (k, l)
 
 
 def test_conjecture_family1_examples():

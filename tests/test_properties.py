@@ -1,5 +1,5 @@
 """Property-based checks (hypothesis) of the field, the chain DP, the
-polynomials and the truncated series."""
+polynomials, Newton's identities and the truncated series."""
 
 from fractions import Fraction
 from math import gcd
@@ -7,6 +7,7 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmhs.closedforms import _elementary, _power_sums
 from qmhs.cyclotomic import CycloElem, get_field, parse_cyclo, render_cyclo
 from qmhs.exactnum import Poly
 from qmhs.mhs import Index, brute_force, z, z_star
@@ -151,3 +152,49 @@ def test_substitution_is_a_ring_homomorphism(fe, cap, data):
     assert sub(f * g) == sub(f) * sub(g)
     assert sub(f + g) == sub(f) + sub(g)
     assert sub(MultiSeries.constant(1, cap, field)) == MultiSeries.constant(1, cap, field)
+
+
+def _newton_oracle(roots: list[Poly], m_max: int, xmax: int):
+    """Elementary symmetric functions (the coefficients of prod (1 + r t))
+    and power sums of `roots`, expanded directly, truncated at X^xmax."""
+    trunc = lambda p: Poly(p.coeffs[: xmax + 1])
+    e = [Poly([1])]
+    for r in roots:
+        e = [trunc(a + r * b) for a, b in zip(e + [Poly()], [Poly()] + e)]
+    p = []
+    for m in range(m_max + 1):
+        total = Poly()
+        for r in roots:
+            power = Poly([1])
+            for _ in range(m):
+                power = power * r
+            total = total + power
+        p.append(trunc(total))
+    return e, p
+
+
+def _check_newton(roots: list[Poly], xmax: int):
+    k = len(roots)
+    e, p = _newton_oracle(roots, 2 * k + 2, xmax)
+    assert _power_sums(e, 2 * k + 2, xmax) == p
+    # e_j = 0 for j > k
+    assert _elementary(p, k + 2, xmax) == e + [Poly(), Poly()]
+    assert _elementary(_power_sums(e, k, xmax), k, xmax) == e
+    assert _power_sums(_elementary(p, k, xmax), 2 * k + 2, xmax) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-5, 5), max_size=6))
+def test_newton_helpers_on_constant_roots(values):
+    _check_newton([Poly([v]) for v in values], 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), max_size=6),
+    st.integers(0, 3),
+)
+def test_newton_helpers_truncate_exactly(roots, xmax):
+    # roots a + b X: every truncation at X^xmax commutes with Newton's
+    # identities, whose only divisions are by integers
+    _check_newton([Poly([a, b]) for a, b in roots], xmax)
