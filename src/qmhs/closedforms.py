@@ -88,6 +88,17 @@ class Poly2:
         return " + ".join(parts)
 
 
+def _truncated_product(a: Poly, b: Poly, xmax: int) -> Poly:
+    """a * b over Q without the powers of X above xmax: only the
+    coefficient products a_i b_j with i + j <= xmax are taken."""
+    out = [ZERO] * (xmax + 1)
+    for i, ca in enumerate(a.coeffs[: xmax + 1]):
+        if ca:
+            for j, cb in enumerate(b.coeffs[: xmax + 1 - i]):
+                out[i + j] += ca * cb
+    return Poly(out)
+
+
 def _power_sums(e: list[Poly], m_max: int, xmax: int) -> list[Poly]:
     """Power sums P_0..P_m_max of the roots whose elementary symmetric
     functions are e[0] = 1, e[1], ..., e[k], by Newton's identities
@@ -100,7 +111,7 @@ def _power_sums(e: list[Poly], m_max: int, xmax: int) -> list[Poly]:
     for m in range(1, m_max + 1):
         acc = e[m].scale((-1) ** (m - 1) * m) if m <= k else Poly()
         for i in range(1, min(k, m - 1) + 1):
-            term = e[i] * p[m - i]
+            term = _truncated_product(e[i], p[m - i], xmax)
             acc = acc + term if i % 2 else acc - term
         p.append(Poly(acc.coeffs[: xmax + 1]))
     return p
@@ -118,9 +129,9 @@ def _elementary(p: list[Poly], j_max: int, xmax: int) -> list[Poly]:
     for j in range(1, j_max + 1):
         acc = Poly()
         for i in range(1, j + 1):
-            term = e[j - i] * p[i]
+            term = _truncated_product(e[j - i], p[i], xmax)
             acc = acc + term if i % 2 else acc - term
-        e.append(Poly(acc.coeffs[: xmax + 1]).scale(Fraction(1, j)))
+        e.append(acc.scale(Fraction(1, j)))
     return e
 
 

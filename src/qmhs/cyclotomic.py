@@ -18,6 +18,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
+from itertools import accumulate, islice
 
 from .exactnum import ONE, Poly, poly_xgcd
 
@@ -154,34 +155,50 @@ class CycloField:
         return f"CycloField({self.n})"
 
 
-def compensated_sums(values: list, inclusive: bool) -> complex:
-    """Running sums of a list of complex values, written over the list,
-    and their total.  Position i gets the sum through v_i (inclusive) or
-    before it (exclusive).  Neumaier compensation runs on the real and on
-    the imaginary part: the rounding error of each step,
-    c += (s - t) + v with the larger magnitude first, is carried
-    alongside and added back in every sum (A. Neumaier, ZAMM 54, 1974)."""
-    sr = cr = si = ci = 0.0
-    total = 0j
-    for i, v in enumerate(values):
-        x = v.real
-        t = sr + x
-        if abs(sr) >= abs(x):
-            cr += (sr - t) + x
-        else:
-            cr += (x - t) + sr
-        sr = t
-        x = v.imag
-        t = si + x
-        if abs(si) >= abs(x):
-            ci += (si - t) + x
-        else:
-            ci += (x - t) + si
-        si = t
-        new = complex(sr + cr, si + ci)
-        values[i] = new if inclusive else total
-        total = new
-    return total
+# Elements per pass of the running-sum loops: each pass holds a few lists
+# of this length, and nothing that grows with the length of the input.
+# 512 and 1024 were no faster on z_numeric at n = 2^15..2^17 and raised
+# the peak RSS by about 0.4 MB.
+_BLOCK = 256
+
+
+def compensated_sums(values: list, inclusive: bool, weights=None) -> complex:
+    """Compensated running sums of a list of complex values, written over
+    the list, and their total.  Position i gets the sum through v_i
+    (inclusive) or before it (exclusive), times the i-th of `weights`
+    when that iterable is given; the total is never weighted.
+
+    Each sum is s_i + c_i, where s_i is the plain running sum and c_i
+    the running sum of the exact rounding errors of s_(i-1) + v_i, taken
+    in the same order (A. Neumaier, ZAMM 54, 1974).  The error comes from
+    Knuth's branch-free TwoSum, d = t - s, err = (s - (t - d)) + (v - d)
+    with t = s + v (TAOCP vol. 2, 4.2.2).  It is the same exact value as
+    Neumaier's branch on the larger magnitude, so c_i keeps every bit:
+    the two may differ only in the sign of a zero error, and c starts at
+    +0.0, where adding -0.0 gives +0.0 in round-to-nearest.  Complex + and
+    - act on the real and the imaginary part separately, so one complex
+    pass is the two real ones.  The list is walked in blocks of _BLOCK
+    by C-level loops (accumulate and map), carrying (s, c) from block to
+    block.  A non-finite value makes the total non-finite.
+    """
+    add, sub = operator.add, operator.sub
+    start = 1 if inclusive else 0
+    if weights is not None:
+        weights = iter(weights)
+    s = c = 0j
+    for lo in range(0, len(values), _BLOCK):
+        block = values[lo:lo + _BLOCK]
+        ts = list(accumulate(block, add, initial=s))
+        ds = list(map(sub, islice(ts, 1, None), ts))
+        errs = map(add, map(sub, ts, map(sub, islice(ts, 1, None), ds)),
+                   map(sub, block, ds))
+        cs = list(accumulate(errs, add, initial=c))
+        sums = islice(map(add, ts, cs), start, start + len(block))
+        if weights is not None:
+            sums = map(operator.mul, islice(weights, len(block)), sums)
+        values[lo:lo + _BLOCK] = sums
+        s, c = ts[-1], cs[-1]
+    return s + c
 
 
 @functools.lru_cache(maxsize=256)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -162,15 +163,19 @@ class ExactBackend:
             row = self._polylog_rows[k] = [x ** k for x in self._polylog_rows[1]]
         return row
 
-    def running_sums(self, values, inclusive: bool):
+    def running_sums(self, values, inclusive: bool, weights=None):
         """Running sums of the list `values` through each position
-        (inclusive) or before it (exclusive), written over `values`;
-        returns the total."""
+        (inclusive) or before it (exclusive), each times the next of
+        `weights` when given, written over `values`; returns the
+        unweighted total."""
         total = self.zero
         for i, v in enumerate(values):
             new = total + v
             values[i] = new if inclusive else total
             total = new
+        if weights is not None:
+            for i, w in enumerate(weights):
+                values[i] = w * values[i]
         return total
 
 
@@ -186,6 +191,8 @@ class NumericBackend:
     """
 
     def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("n must be a positive integer")
         self.n = n
         self.one = 1 + 0j
         two_pi, cos, sin = 2 * math.pi, math.cos, math.sin
@@ -198,15 +205,26 @@ class NumericBackend:
         ]
 
     def weight_row(self, k: int):
-        """Yields w_k(m) = q^((k-1)m) / [m]^k for m = 1..n-1."""
-        n, qpow, inv = self.n, self._qpow, self._inv_qint
-        return (qpow[((k - 1) * m) % n] * inv[m] ** k for m in range(1, n))
+        """Yields w_k(m) = q^((k-1)m) / [m]^k for m = 1..n-1.  The phase
+        q^((k-1)m mod n) is every (k-1)-th entry of k-1 copies of the
+        table of q^j, stepped through without a copy."""
+        n, qpow = self.n, self._qpow
+        if k == 1:
+            phases = itertools.repeat(qpow[0], n - 1)
+        else:
+            step = k - 1
+            phases = itertools.islice(
+                itertools.chain.from_iterable(itertools.repeat(qpow, step)),
+                step, step * n, step)
+        powers = map(pow, itertools.islice(self._inv_qint, 1, None), itertools.repeat(k))
+        return map(operator.mul, phases, powers)
 
-    def running_sums(self, values, inclusive: bool):
-        """Compensated running sums of the list `values`, written over it;
-        returns the total.  A non-finite value anywhere poisons the total,
+    def running_sums(self, values, inclusive: bool, weights=None):
+        """Compensated running sums of the list `values`, each times the
+        next of `weights` when given, written over it; returns the
+        unweighted total.  A non-finite value anywhere poisons the total,
         which raises OverflowError."""
-        total = compensated_sums(values, inclusive)
+        total = compensated_sums(values, inclusive, weights)
         if not (math.isfinite(total.real) and math.isfinite(total.imag)):
             raise OverflowError("non-finite value in numeric evaluation")
         return total
@@ -234,14 +252,13 @@ def _outer_terms(parts: tuple, backend, star: bool, weight_row) -> list:
     taken below m for strict chains (exclusive) or up to m for non-strict
     chains (inclusive).  Returns the terms w_(k_1)(m) * S_2(m) of level 1
     for m = 1..n-1 as a new list, with `weight_row(k)` giving an iterable
-    over each row.  Each level is computed in place, so an evaluation
+    over each row.  Each level is one pass of `backend.running_sums`
+    that writes the weighted sums over the row below, so an evaluation
     holds one row of partial sums at a time.
     """
     terms = list(weight_row(parts[-1]))
     for k in reversed(parts[:-1]):
-        backend.running_sums(terms, star)
-        for i, w in enumerate(weight_row(k)):
-            terms[i] = w * terms[i]
+        backend.running_sums(terms, star, weight_row(k))
     return terms
 
 

@@ -62,6 +62,16 @@ def test_compute_rejects_numeric_modified(capsys):
     assert "exact" in err
 
 
+@pytest.mark.parametrize("n", ("-3", "0"))
+def test_compute_numeric_rejects_non_positive_n(capsys, n):
+    code, out, err = run_cli(
+        capsys, "compute", "--index", "2", "--n", n, "--backend", "numeric"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: n must be a positive integer\n"
+
+
 def test_bad_index_is_input_error(capsys):
     code, _, _ = run_cli(capsys, "compute", "--index", "0,1", "--n", "4")
     assert code == 2

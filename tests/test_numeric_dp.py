@@ -1,7 +1,8 @@
 """Differential and edge checks of the double-precision chain DP.
 
 The DP runs level by level over weight rows streamed from the shared
-backend of each level, with compensated running sums taken in place.
+backend of each level, with compensated running sums taken in place by
+C-level loops over blocks of the row.
 Its oracles here are the former m-major DP: one Neumaier accumulator per
 level, updated for each m in turn (levels ascending for strict chains,
 descending for non-strict ones), with the association
@@ -11,10 +12,13 @@ every running sum as a new list, and must agree to the last bit.
 """
 
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmhs.cyclotomic import compensated_sums
+from qmhs.cyclotomic import _BLOCK, compensated_sums
 from qmhs.mhs import (
     Index,
     NumericBackend,
@@ -231,3 +235,90 @@ def test_compensated_sums_in_place(inclusive):
     assert [_hex(v) for v in values] == [_hex(v) for v in former_sums]
     assert values[0] == (1e16 + 1j if inclusive else 0j)
     assert compensated_sums([], inclusive) == 0j
+
+
+# Lengths around the block boundaries of the running-sum loops.
+BLOCK_LENGTHS = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)
+_HARD_VALUES = (1e16 + 1j, 1.0 - 1e16j, -1e16 + 0.5j, complex(-0.0, 1.0),
+                complex(5e-324, -0.0), -1.0 + 1e16j, complex(-0.0, -0.0),
+                complex(2.2250738585072014e-308, -5e-324), 3.0 - 1.0j,
+                complex(1e16, -2.5e-310))
+
+
+def _assert_sums_match_former(values, inclusive):
+    former_sums, former_total = _FormerNumericBackend.running_sums(list(values), inclusive)
+    values = list(values)
+    total = compensated_sums(values, inclusive)
+    assert _hex(total) == _hex(former_total)
+    assert [_hex(v) for v in values] == [_hex(v) for v in former_sums]
+
+
+@pytest.mark.parametrize("length", BLOCK_LENGTHS)
+@pytest.mark.parametrize("inclusive", (False, True))
+def test_blocked_sums_are_bit_identical_to_scalar_neumaier(length, inclusive):
+    # cancellation of +-1e16 against 1.0, signed zeros and subnormals,
+    # in an order that does not repeat with the block length
+    values = [_HARD_VALUES[(7 * i) % len(_HARD_VALUES)] * (1 + (i % 3))
+              for i in range(length)]
+    _assert_sums_match_former(values, inclusive)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.complex_numbers(max_magnitude=1e300, allow_nan=False,
+                                allow_infinity=False), min_size=1, max_size=48),
+    st.integers(0, 3 * _BLOCK + 7),
+    st.booleans(),
+)
+def test_blocked_sums_match_scalar_neumaier_property(pattern, length, inclusive):
+    values = [pattern[(5 * i) % len(pattern)] for i in range(length)]
+    _assert_sums_match_former(values, inclusive)
+
+
+def test_blocked_sums_apply_weights_after_summing():
+    values = [_HARD_VALUES[i % len(_HARD_VALUES)] for i in range(2 * _BLOCK + 3)]
+    weights = [complex(1 + i % 5, -(i % 3)) for i in range(len(values))]
+    for inclusive in (False, True):
+        former_sums, former_total = _FormerNumericBackend.running_sums(values, inclusive)
+        got = list(values)
+        total = compensated_sums(got, inclusive, iter(weights))
+        assert _hex(total) == _hex(former_total)
+        assert [_hex(v) for v in got] == [_hex(w * s) for w, s in zip(weights, former_sums)]
+
+
+@pytest.mark.parametrize("bad", (complex(math.inf, 0.0), complex(0.0, math.nan)))
+@pytest.mark.parametrize("inclusive", (False, True))
+def test_non_finite_value_in_second_block_overflows(bad, inclusive):
+    values = [1.0 + 1.0j] * (2 * _BLOCK + 3)
+    values[_BLOCK + 5] = bad
+    with pytest.raises(OverflowError):
+        NumericBackend(4).running_sums(values, inclusive)
+
+
+@pytest.mark.parametrize("n", [*range(1, 14), 2**10])
+def test_weight_rows_are_bit_identical_to_indexed_products(n):
+    backend = NumericBackend(n)
+    qpow, inv = backend._qpow, backend._inv_qint
+    for k in range(1, 8):
+        former = [qpow[((k - 1) * m) % n] * inv[m] ** k for m in range(1, n)]
+        assert [_hex(w) for w in backend.weight_row(k)] == [_hex(w) for w in former], k
+
+
+def _z_numeric_peak_beyond_one_row(n: int) -> int:
+    index = Index((2, 1, 3))
+    z_numeric(index, n)  # builds and caches the backend of level n
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        z_numeric(index, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one row of terms: a pointer and a complex object per m
+    return peak - base - 40 * n
+
+
+def test_numeric_dp_holds_no_temporary_that_grows_with_n():
+    # one more list of n pointers would add 131 KB at n = 2^14
+    small, large = (_z_numeric_peak_beyond_one_row(n) for n in (2**10, 2**14))
+    assert abs(large - small) <= 32 * 1024, (small, large)
