@@ -9,7 +9,8 @@ The modulus is monic with integer coefficients, so a product is reduced
 in integers alone.  Products are taken by Kronecker substitution: both
 vectors are packed into one integer each, multiplied once, and unpacked
 (D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
-substitution", J. Symbolic Comput. 2009).
+substitution", J. Symbolic Comput. 2009).  Digits are 1, 2, 4 or 8 bytes
+wide when the product allows, so `array` converts a vector in one call.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
+from array import array
 from fractions import Fraction
 from itertools import accumulate, islice
 
@@ -37,19 +40,26 @@ def cyclotomic_polynomial(n: int) -> Poly:
     return num
 
 
+# Signed machine integers by size in bytes, read and written in one call.
+# Their bytes are little-endian digits only on a little-endian host.
+_FORMATS = {array(c).itemsize: c for c in "bhiq"} if sys.byteorder == "little" else {}
+
+
+@functools.lru_cache(maxsize=256)
 def _offsets(width: int, count: int) -> int:
-    """sum of (X / 2) X^i for i < count, X = 2^(8 * width): the shift that
-    makes `count` coefficients below X / 2 in size nonnegative digits."""
+    """sum of (X / 2) X^i for i < count, X = 2^(8 * width)."""
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
 def _pack(vec, width: int) -> int:
-    """sum of vec[i] X^i, X = 2^(8 * width), for |vec[i]| < X / 2: each
-    entry is laid down as the digit vec[i] + X / 2, then the shift is
-    taken off again."""
-    half = 1 << (8 * width - 1)
-    digits = b"".join([(v + half).to_bytes(width, "little") for v in vec])
-    return int.from_bytes(digits, "little") - _offsets(width, len(vec))
+    """sum of vec[i] X^i, X = 2^(8 * width), for |vec[i]| < X / 2: the
+    entries are laid down as two's-complement digits, flipping the top
+    bit of each makes it vec[i] + X / 2, and the shift is taken off."""
+    fmt = _FORMATS.get(width)
+    raw = array(fmt, vec) if fmt else b"".join(
+        [v.to_bytes(width, "little", signed=True) for v in vec])
+    shift = _offsets(width, len(vec))
+    return (int.from_bytes(raw, "little") ^ shift) - shift
 
 
 def _unpack(value: int, width: int, count: int, period: int) -> list[int]:
@@ -58,19 +68,23 @@ def _unpack(value: int, width: int, count: int, period: int) -> list[int]:
 
     Every c_i and every folded sum c_i + c_(i+period) must be below X / 2
     in size.  Shifted by X / 2, the coefficients are digits; folding adds
-    the digits above X^period to those below and takes one shift off.
+    the digits above X^period to those below and takes one shift off;
+    flipping the top bit of each digit then gives c_i in two's complement.
     """
-    bits = 8 * width
     shift = _offsets(width, count)
     value += shift
     if count > period:
-        cut = period * bits
-        value = (value & ((1 << cut) - 1)) + (value >> cut) - (shift >> cut)
+        cut = period * 8 * width
+        low = (1 << cut) - 1
+        value = (value & low) + (value >> cut) - (shift >> cut)
+        shift &= low
         count = period
-    raw = value.to_bytes(width * count, "little")
-    half = 1 << (bits - 1)
-    digit = int.from_bytes
-    return [digit(raw[i : i + width], "little") - half for i in range(0, width * count, width)]
+    raw = (value ^ shift).to_bytes(width * count, "little")
+    fmt = _FORMATS.get(width)
+    if fmt:
+        return array(fmt, raw).tolist()
+    return [int.from_bytes(raw[i : i + width], "little", signed=True)
+            for i in range(0, len(raw), width)]
 
 
 class CycloField:
@@ -162,11 +176,12 @@ class CycloField:
 _BLOCK = 256
 
 
-def compensated_sums(values: list, inclusive: bool, weights=None) -> complex:
+def compensated_sums(values: list, inclusive: bool | None, weights=None) -> complex:
     """Compensated running sums of a list of complex values, written over
     the list, and their total.  Position i gets the sum through v_i
     (inclusive) or before it (exclusive), times the i-th of `weights`
-    when that iterable is given; the total is never weighted.
+    when that iterable is given; the total is never weighted.  With
+    `inclusive` None nothing is written and only the total is taken.
 
     Each sum is s_i + c_i, where s_i is the plain running sum and c_i
     the running sum of the exact rounding errors of s_(i-1) + v_i, taken
@@ -193,10 +208,11 @@ def compensated_sums(values: list, inclusive: bool, weights=None) -> complex:
         errs = map(add, map(sub, ts, map(sub, islice(ts, 1, None), ds)),
                    map(sub, block, ds))
         cs = list(accumulate(errs, add, initial=c))
-        sums = islice(map(add, ts, cs), start, start + len(block))
-        if weights is not None:
-            sums = map(operator.mul, islice(weights, len(block)), sums)
-        values[lo:lo + _BLOCK] = sums
+        if inclusive is not None:
+            sums = islice(map(add, ts, cs), start, start + len(block))
+            if weights is not None:
+                sums = map(operator.mul, islice(weights, len(block)), sums)
+            values[lo:lo + _BLOCK] = sums
         s, c = ts[-1], cs[-1]
     return s + c
 
@@ -290,6 +306,8 @@ class CycloElem:
         if not bound:
             return field.zero
         width = (bound.bit_length() + 8) // 8
+        if width <= 8:
+            width = 1 << (width - 1).bit_length()  # one array call per vector
         product = _pack(a, width) * _pack(b, width)
         vec = _unpack(product, width, 2 * len(a) - 1, field.n)
         return _normalized(field, field._reduce(vec), self.den * other.den)
@@ -358,7 +376,7 @@ class CycloElem:
                     c / den * math.sin(2 * math.pi * j / n))
             for j, c in enumerate(self.num) if c
         ]
-        return compensated_sums(terms, True)
+        return compensated_sums(terms, None)
 
     def __repr__(self) -> str:
         return f"CycloElem(n={self.field.n}, {render_cyclo(self)!r})"

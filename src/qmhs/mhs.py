@@ -163,12 +163,14 @@ class ExactBackend:
             row = self._polylog_rows[k] = [x ** k for x in self._polylog_rows[1]]
         return row
 
-    def running_sums(self, values, inclusive: bool, weights=None):
+    def running_sums(self, values, inclusive: bool | None, weights=None):
         """Running sums of the list `values` through each position
         (inclusive) or before it (exclusive), each times the next of
         `weights` when given, written over `values`; returns the
-        unweighted total."""
+        unweighted total.  With `inclusive` None only the total is taken."""
         total = self.zero
+        if inclusive is None:
+            return sum(values, total)
         for i, v in enumerate(values):
             new = total + v
             values[i] = new if inclusive else total
@@ -219,11 +221,11 @@ class NumericBackend:
         powers = map(pow, itertools.islice(self._inv_qint, 1, None), itertools.repeat(k))
         return map(operator.mul, phases, powers)
 
-    def running_sums(self, values, inclusive: bool, weights=None):
+    def running_sums(self, values, inclusive: bool | None, weights=None):
         """Compensated running sums of the list `values`, each times the
-        next of `weights` when given, written over it; returns the
-        unweighted total.  A non-finite value anywhere poisons the total,
-        which raises OverflowError."""
+        next of `weights` when given, written over it (nothing is written
+        with `inclusive` None); returns the unweighted total.  A non-finite
+        value anywhere poisons the total, which raises OverflowError."""
         total = compensated_sums(values, inclusive, weights)
         if not (math.isfinite(total.real) and math.isfinite(total.imag)):
             raise OverflowError("non-finite value in numeric evaluation")
@@ -270,7 +272,7 @@ def _evaluate(index: Index, n: int, backend, star: bool):
     if n < 1:
         raise ValueError("n must be a positive integer")
     terms = _outer_terms(index.parts, backend, star, backend.weight_row)
-    return backend.running_sums(terms, star)
+    return backend.running_sums(terms, None)
 
 
 def z(index: Index, n: int, backend=None):
@@ -347,4 +349,4 @@ def brute_force(index: Index, n: int, backend=None, star: bool = False):
         for k, m in zip(index.parts, ms):
             term = term * rows[k][m]
         terms.append(term)
-    return backend.running_sums(terms, True)
+    return backend.running_sums(terms, None)

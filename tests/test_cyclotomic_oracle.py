@@ -4,18 +4,25 @@ The field multiplies by Kronecker substitution over one common
 denominator.  These tests compare it with a schoolbook product over
 Fractions reduced through a table of zeta powers (the field's former
 multiply), with sympy, and compare the closed-form inverse of
-1 - zeta^m with the extended-gcd inverse.
+1 - zeta^m with the extended-gcd inverse.  Property tests drive the
+packing and unpacking around the one Kronecker product at every width a
+product may need, on fields whose products fold with x^n = 1 (n = 9, 41,
+49, 97) and on fields whose products do not.
 """
 
+import functools
 import random
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmhs.cyclotomic import (
     CycloElem,
+    _offsets,
     _pack,
     _unpack,
     cyclotomic_polynomial,
@@ -116,6 +123,77 @@ def test_pack_unpack_at_width_edges():
         assert _unpack(product, width, 5, 5) == conv
         assert _unpack(product, width, 5, 4) == [conv[0] + conv[4]] + conv[1:4]
         assert _unpack(product, width, 5, 3) == [conv[0] + conv[3], conv[1] + conv[4], conv[2]]
+
+
+# Fields of both kinds: a product of degree 2d - 2 reaches x^n, and is
+# folded with x^n = 1 before the reduction, for n = 9, 41, 49 and 97 only.
+KERNEL_NS = (1, 2, 3, 9, 10, 12, 41, 49, 97, 128)
+# Bytes a product may need: the machine widths, the widths between them,
+# which the multiply rounds up, and widths past the widest.
+PRODUCT_WIDTHS = (1, 2, 3, 4, 5, 8, 9, 12)
+
+
+@functools.cache
+def _table(n):
+    return _reduction_table(get_field(n))
+
+
+def _needed_width(degree, a, b):
+    """Bytes per digit for the bound degree * max|a| * max|b| and a sign."""
+    bound = degree * max(map(abs, a)) * max(map(abs, b))
+    return (bound.bit_length() + 8) // 8
+
+
+@st.composite
+def _operands_needing_width(draw):
+    """(n, width, a, b): integer vectors whose product bound needs `width`
+    bytes.  max|a| * max|b| * degree sits in the upper half of the range
+    of that width, each vector holds its maximum with a random sign, and
+    the other entries are zero, extreme or anywhere in between."""
+    n = draw(st.sampled_from(KERNEL_NS))
+    d = get_field(n).degree
+    width = draw(st.sampled_from(PRODUCT_WIDTHS))
+    top = draw(st.integers(1 << (8 * width - 2), (1 << (8 * width - 1)) - 1))
+    big = draw(st.integers(1, max(1, top // (2 * d))))
+    vecs = []
+    for m in (big, max(1, top // (d * big))):
+        entry = st.one_of(st.sampled_from((m, -m, 0)), st.integers(-m, m))
+        vec = draw(st.lists(entry, min_size=d, max_size=d))
+        vec[draw(st.integers(0, d - 1))] = draw(st.sampled_from((m, -m)))
+        vecs.append(vec)
+    return (n, width, *vecs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operands_needing_width())
+def test_mul_matches_schoolbook_at_every_product_width(case):
+    n, width, a, b = case
+    field = get_field(n)
+    assert _needed_width(field.degree, a, b) == width
+    got = CycloElem(field, a) * CycloElem(field, b)
+    assert got.coeffs == schoolbook_mul(field, a, b, _table(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pack_unpack_round_trip_and_fold_at_extreme_digits(data):
+    width = data.draw(st.sampled_from(PRODUCT_WIDTHS))
+    top = (1 << (8 * width - 1)) - 1  # X / 2 - 1, the largest digit allowed
+    digit = st.one_of(st.sampled_from((top, -top, 0, 1, -1)), st.integers(-top, top))
+    vec = data.draw(st.lists(digit, min_size=1, max_size=40))
+    count = len(vec)
+    assert _unpack(_pack(vec, width), width, count, count) == vec
+    # Folding with x^period = 1 adds entry i + period onto entry i: split
+    # each folded entry i < count - period between the two positions.
+    period = data.draw(st.integers(count // 2 + 1, count))
+    folded, spill = vec[:period], count - period
+    spread = ([f - f // 2 for f in folded[:spill]] + folded[spill:]
+              + [f // 2 for f in folded[:spill]])
+    assert _unpack(_pack(spread, width), width, count, period) == folded
+
+
+def test_kronecker_offsets_cache_is_bounded():
+    assert _offsets.cache_info().maxsize is not None
 
 
 def test_cyclotomic_polynomial_matches_sympy():

@@ -143,3 +143,11 @@ def test_backend_weight_caching():
     backend = exact_backend(6)
     w1 = backend.weight(2, 3)
     assert backend.weight(2, 3) is w1
+
+
+def test_exact_total_only_sums_write_nothing():
+    backend = exact_backend(7)
+    row = list(backend.weight_row(2))
+    values = list(row)
+    assert backend.running_sums(values, None) == backend.running_sums(list(row), True)
+    assert values == row

@@ -286,6 +286,20 @@ def test_blocked_sums_apply_weights_after_summing():
         assert [_hex(v) for v in got] == [_hex(w * s) for w, s in zip(weights, former_sums)]
 
 
+@pytest.mark.parametrize("length", BLOCK_LENGTHS)
+def test_total_only_sums_write_nothing_and_keep_every_bit(length):
+    values = [_HARD_VALUES[(3 * i) % len(_HARD_VALUES)] * (1 + (i % 5))
+              for i in range(length)]
+    expected = compensated_sums(list(values), True)
+    got = list(values)
+    assert _hex(compensated_sums(got, None)) == _hex(expected)
+    assert [_hex(v) for v in got] == [_hex(v) for v in values]
+    if length:
+        got[-1] = complex(math.inf, 0.0)
+        with pytest.raises(OverflowError):
+            NumericBackend(4).running_sums(got, None)
+
+
 @pytest.mark.parametrize("bad", (complex(math.inf, 0.0), complex(0.0, math.nan)))
 @pytest.mark.parametrize("inclusive", (False, True))
 def test_non_finite_value_in_second_block_overflows(bad, inclusive):
