@@ -14,6 +14,7 @@ identities.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from fractions import Fraction
 from math import comb
 
@@ -156,21 +157,17 @@ def verify_theorem_1_2(n: int, cap: int) -> VerificationReport:
     """Both generating-function identities at level n, coefficient-exactly:
     the strict series equals the kernel and the non-strict series equals
     the inverse of the sign-flipped kernel."""
-    from .report import Stopwatch
-
-    with Stopwatch() as sw:
-        f_plain = f_series(n, cap, False)
-        u_plain = u_kernel(n, cap)
-        f_star = f_series(n, cap, True)
-        u_star = u_kernel_star(n, cap)
-        ok = f_plain == u_plain and f_star == u_star
+    f_plain = f_series(n, cap, False)
+    u_plain = u_kernel(n, cap)
+    f_star = f_series(n, cap, True)
+    u_star = u_kernel_star(n, cap)
+    ok = f_plain == u_plain and f_star == u_star
     return VerificationReport(
         suite="thm-ohno-zagier",
         params={"n": n, "cap": cap},
         status=PASS if ok else FAIL,
         lhs=f"F={render_series(f_plain)} | F*={render_series(f_star)}",
         rhs=f"U={render_series(u_plain)} | U*={render_series(u_star)}",
-        micros=sw.micros,
     )
 
 
@@ -185,24 +182,20 @@ def sum_formula_check(n: int, k: int, r: int, k_max: int = 0) -> VerificationRep
     if not (k >= r and n > r > 0):
         raise ValueError("requires k >= r and n > r > 0")
     from .mhs import zbar
-    from .report import Stopwatch
 
-    with Stopwatch() as sw:
-        series = f_series(n, max(k, k_max), False)
-        lhs_q = sum(
-            (series.coefficient(k - r - s, r - s, s) for s in range(min(r, k - r) + 1)),
-            Fraction(0),
-        )
-        rhs_q = sum(
-            (
-                Fraction(comb(n, j), n) * zbar(Index((k + 1 - j,)), n).rational_part()
-                for j in range(1, r + 1)
-            ),
-            Fraction(0),
-        )
-    rep = compare("sum-formula", {"n": n, "k": k, "r": r}, lhs_q, rhs_q)
-    rep.micros = sw.micros
-    return rep
+    series = f_series(n, max(k, k_max), False)
+    lhs_q = sum(
+        (series.coefficient(k - r - s, r - s, s) for s in range(min(r, k - r) + 1)),
+        Fraction(0),
+    )
+    rhs_q = sum(
+        (
+            Fraction(comb(n, j), n) * zbar(Index((k + 1 - j,)), n).rational_part()
+            for j in range(1, r + 1)
+        ),
+        Fraction(0),
+    )
+    return compare("sum-formula", {"n": n, "k": k, "r": r}, lhs_q, rhs_q)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +266,7 @@ def transform_images(cap: int, field) -> tuple[MultiSeries, MultiSeries, MultiSe
     return u, v, w
 
 
-def verify_prop_3_3(n: int, cap: int) -> list[VerificationReport]:
+def prop_3_3_rows(n: int, cap: int) -> Iterator[VerificationReport]:
     """Check that the product and recurrence routes agree and that the
     change of variables carries the product route onto the brute-force
     generating function with all-rational coefficients.
@@ -281,25 +274,19 @@ def verify_prop_3_3(n: int, cap: int) -> list[VerificationReport]:
     The product route is rational: an automorphism zeta -> zeta^a with
     gcd(a, n) = 1 permutes its factors j = 1..n-1.  So the substitution
     runs over Q; `to_rational` raises if a coefficient is not rational."""
-    from .report import Stopwatch
-
-    reports = []
-    with Stopwatch() as sw:
-        prod = phi_product(n, cap)
-        rec = phi_recurrence(n, cap)
-    rep = compare("phi-routes", {"n": n, "cap": cap}, prod, rec, render_series)
-    rep.micros = sw.micros
-    reports.append(rep)
-
-    with Stopwatch() as sw:
-        substituted = ms_substitute(prod.to_rational(), *transform_images(cap, RATIONALS))
-        target = f_series(n, cap, False)
-    rep = compare(
+    prod = phi_product(n, cap)
+    rec = phi_recurrence(n, cap)
+    yield compare("phi-routes", {"n": n, "cap": cap}, prod, rec, render_series)
+    substituted = ms_substitute(prod.to_rational(), *transform_images(cap, RATIONALS))
+    target = f_series(n, cap, False)
+    yield compare(
         "phi-substitution", {"n": n, "cap": cap}, substituted, target, render_series
     )
-    rep.micros = sw.micros
-    reports.append(rep)
-    return reports
+
+
+def verify_prop_3_3(n: int, cap: int) -> list[VerificationReport]:
+    """The rows of `prop_3_3_rows`, all computed in the call."""
+    return list(prop_3_3_rows(n, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +315,12 @@ def polylog(index: Index, n: int, star: bool = False) -> Poly:
     return Poly([backend.zero] + terms, backend.field)
 
 
-def verify_lemma_3_2(n: int, weight_cap: int) -> list[VerificationReport]:
+def lemma_3_2_rows(n: int, weight_cap: int) -> Iterator[VerificationReport]:
     """Check the q-difference recursions for every index of weight up to
     the cap, strict and non-strict, as exact polynomial identities.  Each
-    polylogarithm is evaluated once per call, however many recursions use
+    polylogarithm is evaluated once per run, however many recursions use
     it."""
-    from .report import Stopwatch
-
     field = get_field(n)
-    reports = []
     geom = Poly([field.one] * (n - 1), field)  # (1 - t^(n-1)) / (1 - t)
     seen: dict = {}
 
@@ -354,45 +338,43 @@ def verify_lemma_3_2(n: int, weight_cap: int) -> list[VerificationReport]:
             for ix in enumerate_indices(k, r):
                 rest = Index(ix.parts[1:])
                 # strict version
-                with Stopwatch() as sw:
-                    lhs = dq(pl(ix))
-                    if ix.parts[0] >= 2:
-                        lowered = Index((ix.parts[0] - 1,) + ix.parts[1:])
-                        rhs = pl(lowered).div_t_exact()
-                    else:
-                        lr = pl(rest)
-                        num = lr - Poly.monomial(n - 1, lr.at_one(), field)
-                        rhs = num.div_one_minus_t_exact()
-                rep = compare(
+                lhs = dq(pl(ix))
+                if ix.parts[0] >= 2:
+                    lowered = Index((ix.parts[0] - 1,) + ix.parts[1:])
+                    rhs = pl(lowered).div_t_exact()
+                else:
+                    lr = pl(rest)
+                    num = lr - Poly.monomial(n - 1, lr.at_one(), field)
+                    rhs = num.div_one_minus_t_exact()
+                yield compare(
                     "polylog-dq",
                     {"n": n, "index": str(ix), "star": False},
                     lhs,
                     rhs,
                     render,
                 )
-                rep.micros = sw.micros
-                reports.append(rep)
                 # non-strict version; note the non-strict middle case carries
                 # t^n, not t^(n-1): the partial sums telescope one step further
                 # because m_2 = m_1 is allowed
-                with Stopwatch() as sw:
-                    lhs = dq(pl(ix, star=True))
-                    if ix.parts[0] >= 2:
-                        lowered = Index((ix.parts[0] - 1,) + ix.parts[1:])
-                        rhs = pl(lowered, star=True).div_t_exact()
-                    elif r >= 2:
-                        lr = pl(rest, star=True)
-                        num = lr - Poly.monomial(n, lr.at_one(), field)
-                        rhs = num.div_one_minus_t_exact().div_t_exact()
-                    else:
-                        rhs = geom
-                rep = compare(
+                lhs = dq(pl(ix, star=True))
+                if ix.parts[0] >= 2:
+                    lowered = Index((ix.parts[0] - 1,) + ix.parts[1:])
+                    rhs = pl(lowered, star=True).div_t_exact()
+                elif r >= 2:
+                    lr = pl(rest, star=True)
+                    num = lr - Poly.monomial(n, lr.at_one(), field)
+                    rhs = num.div_one_minus_t_exact().div_t_exact()
+                else:
+                    rhs = geom
+                yield compare(
                     "polylog-dq",
                     {"n": n, "index": str(ix), "star": True},
                     lhs,
                     rhs,
                     render,
                 )
-                rep.micros = sw.micros
-                reports.append(rep)
-    return reports
+
+
+def verify_lemma_3_2(n: int, weight_cap: int) -> list[VerificationReport]:
+    """The rows of `lemma_3_2_rows`, all computed in the call."""
+    return list(lemma_3_2_rows(n, weight_cap))

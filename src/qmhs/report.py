@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
 
 PASS = "pass"
@@ -31,18 +30,6 @@ class VerificationReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-class Stopwatch:
-    """Microsecond wall-clock timer for report rows."""
-
-    def __enter__(self):
-        self._t0 = time.perf_counter_ns()
-        return self
-
-    def __exit__(self, *exc):
-        self.micros = (time.perf_counter_ns() - self._t0) // 1000
-        return False
 
 
 def compare(suite: str, params: dict, lhs, rhs, render=str) -> VerificationReport:

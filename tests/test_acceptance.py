@@ -196,15 +196,17 @@ def test_criterion_10_family1_exact_equality():
 
 
 @pytest.mark.criterion(10)
-def test_criterion_10_family2_report_archived():
-    target = os.path.join(REPO_ROOT, "reports", "conjecture_family2.json")
+def test_criterion_10_family2_report_archived(tmp_path):
+    archived = os.path.join(REPO_ROOT, "reports", "conjecture_family2.json")
+    target = tmp_path / "conjecture_family2.json"
     code = cli_main(
         ["conjecture", "2", "--n-max", "8", "--ab-max", "3",
-         "--format", "json", "--output", target]
+         "--format", "json", "--output", str(target)]
     )
     assert code == 0  # report-only output never fails the run
-    with open(target, encoding="utf-8") as fh:
-        reports = json.load(fh)
+    with open(archived, "rb") as fh:
+        assert target.read_bytes() == fh.read()
+    reports = json.loads(target.read_text(encoding="utf-8"))
     expected = sum(
         1
         for n in range(2, 9)

@@ -156,6 +156,20 @@ def test_env_var_overrides_parallelism_flag(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, env", [("-3", None), ("0", None), ("1", "0"), ("1", "-2")])
+def test_parallelism_below_one_is_rejected(capsys, monkeypatch, flag, env):
+    if env is None:
+        monkeypatch.delenv("QMHS_PARALLELISM", raising=False)
+    else:
+        monkeypatch.setenv("QMHS_PARALLELISM", env)
+    code, out, err = run_cli(
+        capsys, "verify", "thm12", "--n-max", "2", "--cap", "2", "--parallelism", flag
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: parallelism must be at least 1\n"
+
+
 def test_worker_count_is_clamped(monkeypatch):
     from qmhs import suites
 
