@@ -11,6 +11,13 @@ vectors are packed into one integer each, multiplied once, and unpacked
 (D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symbolic Comput. 2009).  Digits are 1, 2, 4 or 8 bytes
 wide when the product allows, so `array` converts a vector in one call.
+For n a power of a prime p the modulus is 1 + x^s + ... + x^((p-1)s),
+s = n/p, and the product is reduced inside the packed integer.  A
+product with a rational or c*zeta^j operand is a shift and a scaling.
+
+The Galois action zeta -> zeta^u (u prime to n) permutes coefficients
+before one reduction; it conjugates the seeds of the backend tables and
+gives the inverse as the other conjugates over the norm.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from array import array
 from fractions import Fraction
 from itertools import accumulate, islice
 
-from .exactnum import ONE, Poly, poly_xgcd
+from .exactnum import ONE, Poly
 
 
 @functools.lru_cache(maxsize=256)
@@ -51,6 +58,12 @@ def _offsets(width: int, count: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
+@functools.lru_cache(maxsize=256)
+def _blocks(width: int, block: int, count: int) -> int:
+    """sum of X^(block * j) for j < count, X = 2^(8 * width)."""
+    return int.from_bytes((b"\x01" + bytes(width * block - 1)) * count, "little")
+
+
 def _pack(vec, width: int) -> int:
     """sum of vec[i] X^i, X = 2^(8 * width), for |vec[i]| < X / 2: the
     entries are laid down as two's-complement digits, flipping the top
@@ -62,14 +75,19 @@ def _pack(vec, width: int) -> int:
     return (int.from_bytes(raw, "little") ^ shift) - shift
 
 
-def _unpack(value: int, width: int, count: int, period: int) -> list[int]:
+def _unpack(value: int, width: int, count: int, period: int,
+            block: int = 0) -> list[int]:
     """The vector sum c_i x^i folded with x^period = 1, from value =
-    sum c_i X^i over i < count < 2 * period, X = 2^(8 * width).
+    sum c_i X^i over i < count < 2 * period, X = 2^(8 * width).  With
+    `block` s > 0 the folded vector is then reduced with
+    x^(period-s) = -(1 + x^s + ... + x^(period-2s)): the digits from
+    period - s up come off every block of s below them.
 
-    Every c_i and every folded sum c_i + c_(i+period) must be below X / 2
-    in size.  Shifted by X / 2, the coefficients are digits; folding adds
-    the digits above X^period to those below and takes one shift off;
-    flipping the top bit of each digit then gives c_i in two's complement.
+    Every c_i, every folded sum c_i + c_(i+period) and every reduced
+    coefficient must be below X / 2 in size.  Shifted by X / 2, the
+    coefficients are digits; folding adds the digits above X^period to
+    those below and takes one shift off; flipping the top bit of each
+    digit then gives c_i in two's complement.
     """
     shift = _offsets(width, count)
     value += shift
@@ -79,6 +97,14 @@ def _unpack(value: int, width: int, count: int, period: int) -> list[int]:
         value = (value & low) + (value >> cut) - (shift >> cut)
         shift &= low
         count = period
+    degree = period - block
+    if block and count > degree:
+        cut = degree * 8 * width
+        low = (1 << cut) - 1
+        top = (value >> cut) - (shift >> cut)
+        value = (value & low) - top * _blocks(width, block, degree // block)
+        shift &= low
+        count = degree
     raw = (value ^ shift).to_bytes(width * count, "little")
     fmt = _FORMATS.get(width)
     if fmt:
@@ -103,6 +129,12 @@ class CycloField:
         self._phi_tail = tuple(
             (i, int(c)) for i, c in enumerate(self.phi.coeffs[:d]) if c
         )
+        # s = n/p when n is a power of its least prime p (then phi(n) = n - s),
+        # else 0.  A reduced product coefficient sums at most `_terms`
+        # products a_i b_j: d after folding, 2d - s after the block step.
+        p = next((q for q in range(2, n + 1) if n % q == 0), 1)
+        self._block = n // p if d == n - n // p else 0
+        self._terms = 2 * d - self._block if self._block else d
         self.zero = _elem(self, (0,) * d, 1)
         # zeta^j reduced, for exponents mod n
         zpows = []
@@ -115,9 +147,14 @@ class CycloField:
         self.zeta = zpows[1 % n]
 
     def _reduce(self, vec: list[int]) -> list[int]:
-        """An integer vector in zeta of any length, reduced modulo phi in
-        place by long division by the monic phi."""
-        d = self.degree
+        """An integer vector in zeta of any length, reduced modulo phi:
+        for n = p^e and at most n entries, by subtracting the top block
+        from each block below; else in place by long division by the
+        monic phi."""
+        d, s = self.degree, self._block
+        if s and d < len(vec) <= self.n:
+            top = vec[d:] + [0] * (self.n - len(vec))
+            return list(map(operator.sub, vec[:d], top * (d // s)))
         tail = self._phi_tail
         for k in range(len(vec) - 1, d - 1, -1):
             t = vec[k]
@@ -128,6 +165,18 @@ class CycloField:
         del vec[d:]
         vec.extend([0] * (d - len(vec)))
         return vec
+
+    def conjugate(self, a: "CycloElem", u: int) -> "CycloElem":
+        """sigma_u(a), zeta -> zeta^u for u prime to n.  An automorphism of
+        Z[zeta] keeps the denominator and the content, so the coefficient
+        of zeta^i moves to zeta^(iu) and the vector is reduced once."""
+        n = self.n
+        if math.gcd(u, n) != 1:
+            raise ValueError(f"{u} is not a unit modulo {n}")
+        vec = [0] * n
+        for i, c in enumerate(a.num):
+            vec[i * u % n] = c
+        return _elem(self, tuple(self._reduce(vec)), a.den)
 
     def element(self, poly: Poly) -> "CycloElem":
         """Image of a rational polynomial in zeta, reduced modulo phi."""
@@ -300,25 +349,51 @@ class CycloElem:
         self._check(other)
         field = self.field
         a, b = self.num, other.num
-        # A product coefficient, folded with x^n = 1 or not, sums at most d
-        # terms a_i b_j (one j per i), so it is below d max|a| max|b|.
-        bound = len(a) * max(max(a), -min(a)) * max(max(b), -min(b))
-        if not bound:
-            return field.zero
+        d = len(a)
+        if b.count(0) >= d - 1:
+            return other._times(self)
+        if a.count(0) >= d - 1:
+            return self._times(other)
+        # A reduced product coefficient sums at most field._terms products
+        # a_i b_j, so it is below that many times max|a| max|b|.
+        bound = field._terms * max(max(a), -min(a)) * max(max(b), -min(b))
         width = (bound.bit_length() + 8) // 8
         if width <= 8:
             width = 1 << (width - 1).bit_length()  # one array call per vector
         product = _pack(a, width) * _pack(b, width)
-        vec = _unpack(product, width, 2 * len(a) - 1, field.n)
+        vec = _unpack(product, width, 2 * d - 1, field.n, field._block)
         return _normalized(field, field._reduce(vec), self.den * other.den)
 
+    def _times(self, other: "CycloElem") -> "CycloElem":
+        """self * other for self = c zeta^j (at most one nonzero
+        coefficient): other shifted by j, reduced, then scaled by c."""
+        field, n = self.field, self.field.n
+        flags = list(map(bool, self.num))
+        if True not in flags:
+            return field.zero
+        j = flags.index(True)
+        c, vec = self.num[j], list(other.num)
+        if j:
+            vec += [0] * (n - len(vec))
+            vec = field._reduce(vec[n - j:] + vec[:n - j])
+        if self.den == 1 and (c == 1 or c == -1):
+            # zeta^j is a unit of Z[zeta]: the content does not change
+            return _elem(field, tuple(vec if c == 1 else map(operator.neg, vec)), other.den)
+        return _normalized(field, [c * v for v in vec], self.den * other.den)
+
     def inverse(self) -> "CycloElem":
-        """Multiplicative inverse via extended gcd with the modulus."""
+        """Multiplicative inverse: the product of the conjugates
+        sigma_u(self), u != 1 prime to n, over the norm, which is that
+        product times self and a nonzero rational (`rational_part`
+        raises otherwise)."""
         if not self:
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        s, _, g = poly_xgcd(Poly(self.coeffs), self.field.phi)
-        # g is a nonzero constant since phi is irreducible and self != 0
-        return self.field.element(s.scale(g.coeffs[0] ** -1))
+        field = self.field
+        cof = field.one
+        for u in range(2, field.n):
+            if math.gcd(u, field.n) == 1:
+                cof = cof * field.conjugate(self, u)
+        return cof * field.from_rational(1 / (self * cof).rational_part())
 
     def __truediv__(self, other: "CycloElem") -> "CycloElem":
         return self * other.inverse()

@@ -123,33 +123,44 @@ def enumerate_profile(profile: IndexProfile, admissible: bool = False):
 class ExactBackend:
     """Value field Q(zeta_n) with q = zeta_n.
 
-    Precomputes (1 - zeta^m)^(-1) in closed form and the inverse
-    q-integers once; the chain weights q^((k-1)m) / [m]^k and the
-    polylogarithm weights (1 - zeta^m)^(-k) are cached in one row per k,
-    filled on demand.  All cached values are immutable.
+    The polylogarithm weights (1 - zeta^m)^(-k) and the chain weights
+    q^((k-1)m) / [m]^k are cached in one row per k, filled on demand.
+    A polylogarithm row takes one power per g = gcd(m, n): with u a unit
+    mod n and u = m/g mod n/g, (1 - zeta^m)^(-k) = sigma_u((1 - zeta^g)^(-k)).
+    A chain weight row is that row times (1 - zeta)^k, since
+    [m] = (1 - zeta^m) / (1 - zeta), and times zeta^((k-1)m).  All cached
+    values are immutable.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.field = get_field(n)
-        self.zero = self.field.zero
-        self.one = self.field.one
-        inv_one_minus = [self.field.inv_one_minus_zeta_pow(m) for m in range(1, n)]
-        # [m]^(-1) = (1 - zeta) (1 - zeta^m)^(-1)
-        one_minus_zeta = self.one - self.field.zeta
-        self._inv_qint = [None] + [one_minus_zeta * x for x in inv_one_minus]
+        field = self.field = get_field(n)
+        self.zero = field.zero
+        self.one = field.one
+        # (g, u) for m = 1..n-1: g = gcd(m, n), u a unit with g u = m mod n
+        self._units = []
+        for m in range(1, n):
+            g = math.gcd(m, n)
+            units = (u for u in range(m // g, n, n // g) if math.gcd(u, n) == 1)
+            self._units.append((g, next(units)))
+        self._seeds = {g: field.inv_one_minus_zeta_pow(g) for g, _ in self._units}
         self._rows: dict[int, list] = {}
-        self._polylog_rows: dict[int, list] = {1: inv_one_minus}
+        self._polylog_rows: dict[int, list] = {1: self._conjugates(self._seeds)}
+
+    def _conjugates(self, seeds: dict) -> list:
+        """sigma_u(seeds[g]) for the (g, u) of m = 1..n-1."""
+        conjugate = self.field.conjugate
+        return [seeds[g] if u == 1 else conjugate(seeds[g], u) for g, u in self._units]
 
     def weight(self, k: int, m: int) -> CycloElem:
         """q^((k-1)m) / [m]^k as a field element, 0 < m < n."""
         row = self._rows.get(k)
         if row is None:
-            row = self._rows[k] = [None] * self.n
-        w = row[m]
-        if w is None:
-            w = row[m] = self.field.zeta_pow((k - 1) * m) * self._inv_qint[m] ** k
-        return w
+            field = self.field
+            scale = (self.one - field.zeta) ** k
+            row = self._rows[k] = [field.zeta_pow((k - 1) * j) * (scale * x)
+                                   for j, x in enumerate(self.polylog_row(k), 1)]
+        return row[m - 1]
 
     def weight_row(self, k: int):
         """Yields w_k(m) for m = 1..n-1."""
@@ -160,7 +171,8 @@ class ExactBackend:
         shared, so callers must not write to it."""
         row = self._polylog_rows.get(k)
         if row is None:
-            row = self._polylog_rows[k] = [x ** k for x in self._polylog_rows[1]]
+            seeds = {g: x ** k for g, x in self._seeds.items()}
+            row = self._polylog_rows[k] = self._conjugates(seeds)
         return row
 
     def running_sums(self, values, inclusive: bool | None, weights=None):

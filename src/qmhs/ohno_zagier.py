@@ -32,15 +32,6 @@ from .multiseries import RATIONALS, MultiSeries, ms_substitute, render_series
 from .report import FAIL, PASS, VerificationReport, compare
 
 
-def _binomial_row(a: int, cap: int, slot: int, field) -> MultiSeries:
-    """(1 + v)^a truncated, where v is the variable in the given slot."""
-    coeffs = {}
-    for i in range(min(a, cap) + 1):
-        e = tuple(i if s == slot else 0 for s in range(3))
-        coeffs[e] = field.from_rational(comb(a, i))
-    return MultiSeries(field, cap, coeffs)
-
-
 def binomial_quotient(n: int, cap: int, field=RATIONALS) -> MultiSeries:
     """g(x) = ((1+x)^n - 1) / x = sum_{j=1..n} C(n, j) x^(j-1), truncated."""
     return MultiSeries(field, cap, {
@@ -53,8 +44,12 @@ def u_kernel(n: int, cap: int, field=RATIONALS) -> MultiSeries:
     """The closed-form generating series in (x, y, z) at level n.
 
     x/((1+x)^n - 1) times the double binomial sum over a, b >= 0 with
-    a + b <= n - 1; the prefactor 1/g(x) of `binomial_quotient` is
-    expanded by exact series inversion.
+    a + b <= n - 1 of C(n-a-1, b) C(n-b-1, a) / (p + 1) (xy - z)^p
+    (1+x)^a (1+y)^b, p = n - 1 - a - b; the prefactor 1/g(x) of
+    `binomial_quotient` is expanded by exact series inversion.  The sum
+    is taken by p, whose factor has weight 2p, so only p <= cap/2
+    survives, and the x^i y^j coefficient of the sum at one p is the
+    integer sum over a of C(n-a-1, b) C(n-b-1, a) C(a, i) C(b, j).
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -62,19 +57,22 @@ def u_kernel(n: int, cap: int, field=RATIONALS) -> MultiSeries:
     xy_minus_z = MultiSeries(
         field, cap, {(1, 1, 0): field.one, (0, 0, 1): -field.one}
     )
-    powers = [MultiSeries.constant(1, cap, field)]
-    while 2 * len(powers) <= cap:
-        powers.append(powers[-1] * xy_minus_z)
+    power = MultiSeries.constant(1, cap, field)
     total = MultiSeries.zero(cap, field)
-    for a in range(n):
-        for b in range(n - a):
-            p = n - 1 - a - b
-            if p >= len(powers):
-                continue
-            term = powers[p] * _binomial_row(a, cap, 0, field)
-            term = term * _binomial_row(b, cap, 1, field)
-            coeff = Fraction(comb(n - a - 1, b) * comb(n - b - 1, a), n - a - b)
-            total = total + term.scale(coeff)
+    for p in range(min(n - 1, cap // 2) + 1):
+        top = cap - 2 * p
+        sums: dict = {}
+        for a in range(n - p):
+            b = n - 1 - p - a
+            w = comb(n - a - 1, b) * comb(n - b - 1, a)
+            for i in range(min(a, top) + 1):
+                wi = w * comb(a, i)
+                for j in range(min(b, top - i) + 1):
+                    sums[i, j] = sums.get((i, j), 0) + wi * comb(b, j)
+        row = {(i, j, 0): field.from_rational(Fraction(c, p + 1))
+               for (i, j), c in sums.items()}
+        total = total + power * MultiSeries(field, cap, row)
+        power = power * xy_minus_z
     return pre * total
 
 
@@ -160,7 +158,7 @@ def verify_theorem_1_2(n: int, cap: int) -> VerificationReport:
     f_plain = f_series(n, cap, False)
     u_plain = u_kernel(n, cap)
     f_star = f_series(n, cap, True)
-    u_star = u_kernel_star(n, cap)
+    u_star = flip_yz(u_plain).invert()  # u_kernel_star(n, cap)
     ok = f_plain == u_plain and f_star == u_star
     return VerificationReport(
         suite="thm-ohno-zagier",

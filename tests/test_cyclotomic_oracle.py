@@ -3,11 +3,17 @@
 The field multiplies by Kronecker substitution over one common
 denominator.  These tests compare it with a schoolbook product over
 Fractions reduced through a table of zeta powers (the field's former
-multiply), with sympy, and compare the closed-form inverse of
-1 - zeta^m with the extended-gcd inverse.  Property tests drive the
-packing and unpacking around the one Kronecker product at every width a
-product may need, on fields whose products fold with x^n = 1 (n = 9, 41,
-49, 97) and on fields whose products do not.
+multiply), with sympy, and with a `Poly` product reduced by
+`Poly.divmod` for every kind of operand the multiply treats apart
+(dense, rational, +-zeta^j, c zeta^j, zero).  The Galois conjugation is
+compared with a permutation of exponents reduced by `Poly.divmod`, and
+the inverse (conjugates over the norm) with the extended-gcd route of
+`exactnum.poly_xgcd` and with the closed-form inverse of 1 - zeta^m.
+Property tests drive the packing and unpacking around the one Kronecker
+product at every width a product may need, on fields whose products
+fold with x^n = 1 (n = 9, 41, 49, 97) and on fields whose products do
+not, and on prime powers, whose products are reduced in the packed
+integer.
 """
 
 import functools
@@ -29,6 +35,7 @@ from qmhs.cyclotomic import (
     get_field,
     q_integer,
 )
+from qmhs.exactnum import Poly, poly_xgcd
 from qmhs.mhs import ExactBackend
 
 ORACLE_NS = (1, 2, 3, 12, 41, 49, 60, 97, 128)
@@ -138,25 +145,29 @@ def _table(n):
     return _reduction_table(get_field(n))
 
 
-def _needed_width(degree, a, b):
-    """Bytes per digit for the bound degree * max|a| * max|b| and a sign."""
-    bound = degree * max(map(abs, a)) * max(map(abs, b))
+def _needed_width(terms, a, b):
+    """Bytes per digit for the bound terms * max|a| * max|b| and a sign."""
+    bound = terms * max(map(abs, a)) * max(map(abs, b))
     return (bound.bit_length() + 8) // 8
 
 
 @st.composite
 def _operands_needing_width(draw):
     """(n, width, a, b): integer vectors whose product bound needs `width`
-    bytes.  max|a| * max|b| * degree sits in the upper half of the range
-    of that width, each vector holds its maximum with a random sign, and
-    the other entries are zero, extreme or anywhere in between."""
+    bytes.  max|a| * max|b| * terms (the products a reduced coefficient
+    may sum: the degree d, or 2d - n/p at a power of a prime p) sits in
+    the upper half of the range of that width, each vector holds its
+    maximum with a random sign, and the other entries are zero, extreme
+    or anywhere in between."""
     n = draw(st.sampled_from(KERNEL_NS))
-    d = get_field(n).degree
-    width = draw(st.sampled_from(PRODUCT_WIDTHS))
+    field = get_field(n)
+    d, terms = field.degree, field._terms
+    # the widths the bound can reach: all-ones operands already need terms
+    width = draw(st.sampled_from([w for w in PRODUCT_WIDTHS if terms <= 1 << (8 * w - 2)]))
     top = draw(st.integers(1 << (8 * width - 2), (1 << (8 * width - 1)) - 1))
-    big = draw(st.integers(1, max(1, top // (2 * d))))
+    big = draw(st.integers(1, max(1, top // (2 * terms))))
     vecs = []
-    for m in (big, max(1, top // (d * big))):
+    for m in (big, max(1, top // (terms * big))):
         entry = st.one_of(st.sampled_from((m, -m, 0)), st.integers(-m, m))
         vec = draw(st.lists(entry, min_size=d, max_size=d))
         vec[draw(st.integers(0, d - 1))] = draw(st.sampled_from((m, -m)))
@@ -169,7 +180,7 @@ def _operands_needing_width(draw):
 def test_mul_matches_schoolbook_at_every_product_width(case):
     n, width, a, b = case
     field = get_field(n)
-    assert _needed_width(field.degree, a, b) == width
+    assert _needed_width(field._terms, a, b) == width
     got = CycloElem(field, a) * CycloElem(field, b)
     assert got.coeffs == schoolbook_mul(field, a, b, _table(n))
 
@@ -236,4 +247,135 @@ def test_backend_inverse_q_integers(n):
     backend = ExactBackend(n)
     field = backend.field
     for m in range(1, n):
-        assert backend._inv_qint[m] * q_integer(m, field) == field.one
+        assert backend.weight(1, m) * q_integer(m, field) == field.one
+
+
+def test_packed_digit_bound_counts_every_product():
+    """The multiply sizes its digits by terms * max|a| * max|b|.  At a
+    prime power the packed integer ends holding the reduced coefficients,
+    so terms must cover the products a_i b_j (i, j < d) on one of them,
+    counted by reducing x^(i+j) through `Poly.divmod` with signs dropped;
+    elsewhere it holds the coefficients folded with x^n = 1."""
+    for n in (1, 2, 3, 4, 8, 9, 12, 25, 27, 30, 49):
+        field = get_field(n)
+        d = field.degree
+        if field._block:
+            rows = [[abs(c) for c in _divmod_vector(field, Poly.monomial(e))]
+                    for e in range(2 * d - 1)]
+        else:
+            rows = [[int(e % n == k) for k in range(n)] for e in range(2 * d - 1)]
+        most = max(sum(rows[i + j][k] for i in range(d) for j in range(d))
+                   for k in range(len(rows[0])))
+        assert most <= field._terms, n
+        if field._block:
+            assert most == field._terms, n
+
+
+def _divmod_vector(field, poly):
+    """A Poly's remainder by phi through `Poly.divmod`, as d Fractions."""
+    _, rem = poly.divmod(field.phi)
+    return list(rem.coeffs) + [Fraction(0)] * (field.degree - len(rem.coeffs))
+
+
+def _divmod_elem(field, poly):
+    return CycloElem(field, _divmod_vector(field, poly))
+
+
+def _dense(field, rng, size):
+    vec = [Fraction(rng.randint(-size, size), rng.randint(1, 9)) for _ in range(field.degree)]
+    if field.degree > 1:
+        vec[0], vec[-1] = Fraction(size, 7), Fraction(-1, 3)
+    return vec
+
+
+CONJUGATE_NS = tuple(range(1, 61)) + (64, 81, 97, 105)
+
+
+@pytest.mark.parametrize("n", CONJUGATE_NS)
+def test_conjugate_matches_divmod_and_composes(n):
+    field = get_field(n)
+    rng = random.Random(n)
+    units = [u for u in range(n) if gcd(u, n) == 1]
+    a = CycloElem(field, _dense(field, rng, 10**6))
+    images = {}
+    for u in units:
+        # sum c_i x^(iu mod n), reduced without the field's own reduction
+        vec = [Fraction(0)] * n
+        for i, c in enumerate(a.coeffs):
+            vec[i * u % n] += c
+        images[u] = field.conjugate(a, u)
+        assert images[u] == _divmod_elem(field, Poly(vec)), u
+        assert images[u].den == a.den
+    for u in units:
+        v = rng.choice(units)
+        assert field.conjugate(images[v], u) == images[u * v % n], (u, v)
+    if n > 1:
+        with pytest.raises(ValueError):
+            field.conjugate(a, n)
+
+
+FAST_PATH_NS = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 25, 27, 30, 49, 64, 81, 97, 105)
+# From 1 to 10^40: products need digits 1, 2, 4 and 8 bytes wide, and
+# wider ones through the bytes fallback.
+SIZES = (1, 10**2, 10**5, 10**12, 10**40)
+
+
+def _operand(field, rng, kind, size):
+    d = field.degree
+    vec = [Fraction(0)] * d
+    j = rng.randrange(d)
+    if kind == "dense":
+        vec = _dense(field, rng, size)
+    elif kind == "rational":
+        vec[0] = Fraction(rng.choice((-1, 1)) * rng.randint(1, size), rng.randint(1, 9))
+    elif kind == "unit":
+        vec[j] = Fraction(rng.choice((-1, 1)))
+    elif kind == "monomial":
+        vec[j] = Fraction(rng.choice((-1, 1)) * rng.randint(1, size), rng.randint(2, 9))
+    return CycloElem(field, vec)
+
+
+@pytest.mark.parametrize("n", FAST_PATH_NS)
+def test_mul_fast_paths_match_divmod(n):
+    field = get_field(n)
+    rng = random.Random(1000 + n)
+    kinds = ("dense", "rational", "unit", "monomial", "zero")
+    for ka in kinds:
+        for kb in kinds:
+            for size in SIZES:
+                a = _operand(field, rng, ka, size)
+                b = _operand(field, rng, kb, rng.choice(SIZES) if ka == kb == "dense" else size)
+                expected = _divmod_elem(field, Poly(a.coeffs) * Poly(b.coeffs))
+                got = a * b
+                assert got == expected, (ka, kb, size)
+                assert got.den > 0 and gcd(got.den, *got.num) == 1
+
+
+def _xgcd_inverse(a):
+    s, _, g = poly_xgcd(Poly(a.coeffs), a.field.phi)
+    return a.field.element(s.scale(g.coeffs[0] ** -1))
+
+
+@pytest.mark.parametrize("n", range(1, 42))
+def test_inverse_matches_xgcd(n):
+    field = get_field(n)
+    rng = random.Random(2000 + n)
+    a = CycloElem(field, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(field.degree)])
+    a = a or field.one
+    inverse = a.inverse()
+    assert inverse == _xgcd_inverse(a)
+    assert a * inverse == field.one
+    with pytest.raises(ZeroDivisionError):
+        field.zero.inverse()
+
+
+def test_inverse_at_97():
+    """The xgcd route takes about 45 s on an element dense in all 96
+    coefficients at n = 97, so it checks one dense in its first 8; the
+    dense one is checked by its product."""
+    field = get_field(97)
+    rng = random.Random(97)
+    low = CycloElem(field, _dense(get_field(17), rng, 9)[:8] + [Fraction(0)] * 88)
+    assert low.inverse() == _xgcd_inverse(low)
+    dense = CycloElem(field, _dense(field, rng, 50))
+    assert dense * dense.inverse() == field.one

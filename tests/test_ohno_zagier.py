@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -7,8 +8,9 @@ from qmhs.cyclotomic import CycloElem, cyclotomic_polynomial, get_field
 from qmhs.exactnum import Poly
 from qmhs.mhs import Index, _zbar_cached, enumerate_indices, exact_backend, numeric_backend, zbar
 from qmhs import ohno_zagier
-from qmhs.multiseries import MultiSeries, ms_substitute
+from qmhs.multiseries import RATIONALS, MultiSeries, ms_substitute, render_series
 from qmhs.ohno_zagier import (
+    binomial_quotient,
     dq,
     f_bruteforce,
     f_series,
@@ -56,6 +58,44 @@ def test_theorem_1_2_small_levels():
     for n in (1, 2, 3, 5, 6):
         rep = verify_theorem_1_2(n, 5)
         assert rep.status == "pass", (n, rep.lhs, rep.rhs)
+
+
+def u_kernel_pairs(n, cap):
+    """The kernel summed pair by pair over a + b <= n - 1, two series
+    products per pair: the oracle for the grouping by p in `u_kernel`."""
+    field = RATIONALS
+
+    def binomial_row(a, slot):
+        return MultiSeries(field, cap, {
+            tuple(i if s == slot else 0 for s in range(3)): Fraction(comb(a, i))
+            for i in range(min(a, cap) + 1)})
+
+    xy_minus_z = MultiSeries(field, cap, {(1, 1, 0): Fraction(1), (0, 0, 1): Fraction(-1)})
+    powers = [MultiSeries.constant(1, cap)]
+    while 2 * len(powers) <= cap:
+        powers.append(powers[-1] * xy_minus_z)
+    total = MultiSeries.zero(cap)
+    for a in range(n):
+        for b in range(n - a):
+            p = n - 1 - a - b
+            if p >= len(powers):
+                continue
+            term = powers[p] * binomial_row(a, 0) * binomial_row(b, 1)
+            coeff = Fraction(comb(n - a - 1, b) * comb(n - b - 1, a), n - a - b)
+            total = total + term.scale(coeff)
+    return binomial_quotient(n, cap).invert() * total
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_u_kernel_matches_pairwise_sum(n):
+    for cap in range(0, 11):
+        assert u_kernel(n, cap) == u_kernel_pairs(n, cap), cap
+
+
+def test_theorem_1_2_star_side_is_u_kernel_star():
+    for n, cap in ((1, 4), (4, 6), (9, 7)):
+        rep = verify_theorem_1_2(n, cap)
+        assert rep.rhs.split(" | U*=")[1] == render_series(u_kernel_star(n, cap))
 
 
 def test_u_kernel_star_is_inverse_of_flip():
@@ -222,9 +262,10 @@ def test_polylog_builds_each_weight_row_once(monkeypatch):
 
     monkeypatch.setattr(CycloElem, "__pow__", counting_pow)
     first = polylog(Index((2, 1, 3)), n)
-    # one power per m for each of the rows k = 2 and k = 3; row 1 is the
-    # closed-form inverse itself
-    assert sorted(calls) == [2] * (n - 1) + [3] * (n - 1)
+    # one power per proper divisor g of n (g = 1 at n = 7) for each of the
+    # rows k = 2 and k = 3, whose entries are its Galois conjugates; row 1
+    # is the closed-form inverse itself
+    assert sorted(calls) == [2, 3]
     calls.clear()
     second = polylog(Index((3, 2, 1, 3)), n, star=True)
     assert calls == []

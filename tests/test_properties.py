@@ -45,6 +45,21 @@ def test_field_axioms(elems):
 
 
 @settings(max_examples=60, deadline=None)
+@given(elements(count=2), st.data())
+def test_conjugation_is_a_ring_homomorphism(elems, data):
+    a, b = elems
+    field = a.field
+    n = field.n
+    u = data.draw(st.sampled_from([u for u in range(n) if gcd(u, n) == 1]))
+    sigma = lambda x: field.conjugate(x, u)  # noqa: E731
+    assert sigma(a + b) == sigma(a) + sigma(b)
+    assert sigma(a * b) == sigma(a) * sigma(b)
+    assert sigma(field.one) == field.one and sigma(field.zeta) == field.zeta_pow(u)
+    if a:
+        assert sigma(a.inverse()) == sigma(a).inverse()
+
+
+@settings(max_examples=60, deadline=None)
 @given(elements())
 def test_lowest_terms_round_trip_and_hash(elems):
     (x,) = elems
