@@ -28,7 +28,7 @@ import operator
 import sys
 from array import array
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 
 from .exactnum import ONE, Poly
 
@@ -166,6 +166,22 @@ class CycloField:
         vec.extend([0] * (d - len(vec)))
         return vec
 
+    def integer_form(self, left: list, right: list, pairs: int):
+        """As `exactnum.RationalField.integer_form`: each list over one
+        denominator, each numerator vector packed at one width that holds a
+        reduced coefficient of a sum, `pairs` * `_terms` entry products."""
+        da, va, ha = _common_denominator(left)
+        db, vb, hb = _common_denominator(right)
+        width = (self._terms * pairs * ha * hb).bit_length() // 8 + 1
+        if width <= 8:
+            width = 1 << (width - 1).bit_length()  # as in CycloElem.__mul__
+        den, count, n, block = da * db, 2 * self.degree - 1, self.n, self._block
+
+        def back(total: int) -> "CycloElem":
+            return _normalized(self, self._reduce(_unpack(total, width, count, n, block)), den)
+
+        return [_pack(v, width) for v in va], [_pack(v, width) for v in vb], back
+
     def conjugate(self, a: "CycloElem", u: int) -> "CycloElem":
         """sigma_u(a), zeta -> zeta^u for u prime to n.  An automorphism of
         Z[zeta] keeps the denominator and the content, so the coefficient
@@ -278,6 +294,14 @@ def _elem(field: CycloField, num: tuple, den: int) -> "CycloElem":
     e.num = num
     e.den = den
     return e
+
+
+def _common_denominator(elems: list) -> tuple[int, list, int]:
+    """The least common denominator of some elements, their numerator
+    vectors over it and the largest size of an entry."""
+    den = math.lcm(*(a.den for a in elems))
+    vecs = [a.num if a.den == den else [c * (den // a.den) for c in a.num] for a in elems]
+    return den, vecs, max(map(abs, chain.from_iterable(vecs)))
 
 
 def _normalized(field: CycloField, num, den: int) -> "CycloElem":

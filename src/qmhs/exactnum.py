@@ -16,9 +16,9 @@ ONE = Fraction(1)
 
 
 class RationalField:
-    """The field protocol for Q: zero, one and from_rational, with
-    Fraction elements.  A cyclotomic field provides the same three names;
-    elements support +, -, *, inversion by `** -1` and truth testing."""
+    """The field protocol for Q, with Fraction elements: zero, one,
+    from_rational and integer_form, as a cyclotomic field provides them.
+    Elements support +, -, *, inversion by `** -1` and truth testing."""
 
     zero = ZERO
     one = ONE
@@ -26,6 +26,18 @@ class RationalField:
     @staticmethod
     def from_rational(q):
         return q if type(q) is Fraction else Fraction(q)
+
+    @staticmethod
+    def integer_form(left: list, right: list, pairs: int):
+        """Integers x_i for the elements of `left`, y_j for those of
+        `right`, and the map from a sum of at most `pairs` products x_i y_j
+        back to the field: over Q, numerators over each list's lcm."""
+        da = math.lcm(*(q.denominator for q in left))
+        db = math.lcm(*(q.denominator for q in right))
+        den = da * db
+        return ([q.numerator * (da // q.denominator) for q in left],
+                [q.numerator * (db // q.denominator) for q in right],
+                lambda total: Fraction(total, den))
 
     def __repr__(self):
         return "RationalField()"

@@ -5,10 +5,19 @@ carry weights (1, 1, 2).  A series stores only monomials of weight at
 most its cap, sparsely, and every operation truncates at the cap.
 Coefficients live in an abstract field with the protocol of
 `exactnum.RationalField`: the rationals or a cyclotomic field.
+
+Products and inverses sum products of coefficients as integers: the
+field's `integer_form` turns each operand's coefficients, over one
+denominator, into integers (numerators over Q, Kronecker-packed vectors
+over Q(zeta_n)) and each output is a plain integer sum, converted back
+once.  At most pairs = min(|A|, |B|) products meet in an output, so the
+packed digits hold pairs * `CycloField._terms` * max|a| * max|b|.  A sum
+nonzero as an integer but zero modulo Phi_n is dropped like any zero.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 # RationalField is re-exported: the tracer in perfbench/spans.py reads it here
@@ -19,6 +28,40 @@ WEIGHTS = (1, 1, 2)
 
 def monomial_weight(exps: tuple[int, int, int]) -> int:
     return exps[0] + exps[1] + 2 * exps[2]
+
+
+def _keyed(coeffs: dict, cap: int) -> list:
+    """(weight, key, coefficient) per monomial, in weight order.  The key
+    of x^a y^b z^c is a + b S + c S^2, S = cap + 1, so keys add as the
+    monomials multiply up to the cap."""
+    s = cap + 1
+    return sorted([(a + b + 2 * c, a + s * (b + s * c), v) for (a, b, c), v in coeffs.items()])
+
+
+def _exponents(key: int, cap: int) -> tuple[int, int, int]:
+    bc, a = divmod(key, cap + 1)
+    c, b = divmod(bc, cap + 1)
+    return a, b, c
+
+
+def _sum_products(field, left: list, right: list, spans: list) -> dict:
+    """Sums of coefficient products of `left` and `right` terms by the sum
+    of their keys, left[i] meeting right[lo:hi] for (lo, hi) = spans[i].
+    For one output and one left term at most one right term matches."""
+    pairs = min(len(left), len(right))
+    if pairs <= 1:
+        # every sum is one product, taken in the field
+        return {ka + kb: a * b for (_, ka, a), (lo, hi) in zip(left, spans)
+                for _, kb, b in right[lo:hi]}
+    xs, ys, back = field.integer_form([c for _, _, c in left], [c for _, _, c in right], pairs)
+    keys = [k for _, k, _ in right]
+    acc: dict = {}
+    get = acc.get
+    for (_, ka, _), x, (lo, hi) in zip(left, xs, spans):
+        for kb, y in zip(keys[lo:hi], ys[lo:hi]):
+            k = ka + kb
+            acc[k] = get(k, 0) + x * y
+    return {k: back(total) for k, total in acc.items() if total}
 
 
 class MultiSeries:
@@ -82,18 +125,24 @@ class MultiSeries:
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
         self._check(other)
-        cap = self.cap
-        out: dict = {}
-        for (a1, b1, c1), va in self.coeffs.items():
-            w1 = a1 + b1 + 2 * c1
-            for (a2, b2, c2), vb in other.coeffs.items():
-                if w1 + a2 + b2 + 2 * c2 > cap:
-                    continue
-                e = (a1 + a2, b1 + b2, c1 + c2)
-                prod = va * vb
-                prev = out.get(e)
-                out[e] = prod if prev is None else prev + prod
-        return MultiSeries(self.field, cap, out)
+        field, cap = self.field, self.cap
+        short, long = self.coeffs, other.coeffs
+        if len(short) > len(long):
+            short, long = long, short
+        if len(short) == 1:
+            # a one-term operand: the other series shifted and scaled
+            ((a, b, c), v), = short.items()
+            top = cap - a - b - 2 * c
+            return MultiSeries(field, cap, {(a + a2, b + b2, c + c2): v * v2
+                                            for (a2, b2, c2), v2 in long.items()
+                                            if a2 + b2 + 2 * c2 <= top})
+        left, right = _keyed(short, cap), _keyed(long, cap)
+        # right is in weight order: a term of weight w meets a prefix of it
+        weights = [w for w, _, _ in right]
+        spans = [(0, bisect_right(weights, cap - w)) for w, _, _ in left]
+        sums = _sum_products(field, left, right, spans)
+        return MultiSeries(field, cap,
+                           {_exponents(k, cap): c for k, c in sums.items()})
 
     def scale(self, c) -> "MultiSeries":
         if isinstance(c, (int, Fraction)):
@@ -146,41 +195,26 @@ class MultiSeries:
             raise ValueError("cannot raise the cap of a truncated series")
         return MultiSeries(self.field, new_cap, self.coeffs)
 
-    def by_weight(self) -> dict[int, dict]:
-        out: dict[int, dict] = {}
-        for e, c in self.coeffs.items():
-            out.setdefault(monomial_weight(e), {})[e] = c
-        return out
-
     def invert(self) -> "MultiSeries":
         """Multiplicative inverse up to the cap; the constant term must be
-        invertible.  Graded back-substitution on homogeneous layers."""
+        invertible.  Graded back-substitution on homogeneous layers: with
+        A_j the layer of weight j and c0 the constant term, the inverse
+        has B_0 = 1/c0 and B_w = sum_(j=1..w) (-A_j/c0) B_(w-j)."""
         c0 = self.constant_term()
         if not c0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
         inv0 = c0 ** -1
-        layers = self.by_weight()
-        out: dict[int, dict] = {0: {(0, 0, 0): inv0}}
-        for w in range(1, self.cap + 1):
-            layer: dict = {}
-            for j in range(1, w + 1):
-                aj = layers.get(j)
-                if not aj:
-                    continue
-                bj = out.get(w - j)
-                if not bj:
-                    continue
-                for (a1, b1, c1), va in aj.items():
-                    for (a2, b2, c2), vb in bj.items():
-                        e = (a1 + a2, b1 + b2, c1 + c2)
-                        prod = va * vb
-                        prev = layer.get(e)
-                        layer[e] = prod if prev is None else prev + prod
-            out[w] = {e: -(inv0 * c) for e, c in layer.items() if c}
-        merged: dict = {}
-        for layer in out.values():
-            merged.update(layer)
-        return MultiSeries(self.field, self.cap, merged)
+        field, cap = self.field, self.cap
+        left = _keyed({e: -inv0 * c for e, c in self.coeffs.items() if e != (0, 0, 0)}, cap)
+        right = [(0, 0, inv0)]
+        starts = [0, 1]  # right[starts[w]:starts[w + 1]] is the layer B_w
+        for w in range(1, cap + 1):
+            use = [t for t in left if t[0] <= w]
+            spans = [(starts[w - j], starts[w - j + 1]) for j, _, _ in use]
+            sums = _sum_products(field, use, right, spans)
+            right += [(w, k, c) for k, c in sums.items()]
+            starts.append(len(right))
+        return MultiSeries(field, cap, {_exponents(k, cap): c for _, k, c in right})
 
     def map_coefficients(self, fn, field=None) -> "MultiSeries":
         return MultiSeries(field or self.field, self.cap,

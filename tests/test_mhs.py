@@ -151,3 +151,36 @@ def test_exact_total_only_sums_write_nothing():
     values = list(row)
     assert backend.running_sums(values, None) == backend.running_sums(list(row), True)
     assert values == row
+
+
+def test_zbar_scale_is_built_once_per_weight(monkeypatch):
+    """Two indices of weight 3 at one level: the first builds the scale
+    (1 - zeta)^(-3), the second finds it kept on the backend."""
+    import qmhs.mhs as mhs
+    from qmhs.cyclotomic import CycloElem
+
+    n = 7
+    field = get_field(n)
+    target = field.inv_one_minus_zeta_pow(1) ** 3
+    mhs._zbar_cached.cache_clear()
+    mhs.exact_backend.cache_clear()
+    built = []
+    for name in ("__mul__", "__pow__"):
+        original = getattr(CycloElem, name)
+
+        def counting(a, b, original=original):
+            out = original(a, b)
+            built.append(out == target)
+            return out
+
+        monkeypatch.setattr(CycloElem, name, counting)
+    first = zbar(Index((2, 1)), n)
+    after_first = sum(built)
+    second = zbar(Index((1, 2)), n)
+    monkeypatch.undo()
+    assert after_first >= 1
+    assert sum(built) == after_first
+    assert first == z(Index((2, 1)), n) * target
+    assert second == z(Index((1, 2)), n) * target
+    mhs._zbar_cached.cache_clear()
+    mhs.exact_backend.cache_clear()
