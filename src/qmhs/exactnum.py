@@ -34,10 +34,9 @@ class RationalField:
         back to the field: over Q, numerators over each list's lcm."""
         da = math.lcm(*(q.denominator for q in left))
         db = math.lcm(*(q.denominator for q in right))
-        den = da * db
         return ([q.numerator * (da // q.denominator) for q in left],
                 [q.numerator * (db // q.denominator) for q in right],
-                lambda total: Fraction(total, den))
+                lambda total: Fraction(total, da * db))
 
     def __repr__(self):
         return "RationalField()"

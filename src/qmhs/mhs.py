@@ -128,9 +128,8 @@ class ExactBackend:
     A polylogarithm row takes one power per g = gcd(m, n): with u a unit
     mod n and u = m/g mod n/g, (1 - zeta^m)^(-k) = sigma_u((1 - zeta^g)^(-k)).
     A chain weight row is that row times (1 - zeta)^k, since
-    [m] = (1 - zeta^m) / (1 - zeta), and times zeta^((k-1)m).  The scale
-    (1 - zeta)^(-w) of the modified values is cached per weight w.  All
-    cached values are immutable.
+    [m] = (1 - zeta^m) / (1 - zeta), and times zeta^((k-1)m).  All cached
+    values are immutable.
     """
 
     def __init__(self, n: int):
@@ -147,7 +146,7 @@ class ExactBackend:
         self._seeds = {g: field.inv_one_minus_zeta_pow(g) for g, _ in self._units}
         self._rows: dict[int, list] = {}
         self._polylog_rows: dict[int, list] = {1: self._conjugates(self._seeds)}
-        self._scales = {0: self.one}
+        self._scales: dict[int, CycloElem] = {}
 
     def _conjugates(self, seeds: dict) -> list:
         """sigma_u(seeds[g]) for the (g, u) of m = 1..n-1."""
@@ -178,14 +177,11 @@ class ExactBackend:
         return row
 
     def zbar_scale(self, w: int) -> CycloElem:
-        """(1 - zeta)^(-w), the scale of a modified value of weight w: the
-        nearest lower kept power times the seed (1 - zeta)^(-1) to the
-        power of the gap, kept once built."""
-        scales = self._scales
-        if w not in scales:
-            below = max(k for k in scales if k < w)
-            scales[w] = scales[below] * self._seeds[1] ** (w - below)
-        return scales[w]
+        """(1 - zeta)^(-w), the scale of a modified value of weight w, kept
+        once built."""
+        if w not in self._scales:
+            self._scales[w] = self._seeds[1] ** w
+        return self._scales[w]
 
     def running_sums(self, values, inclusive: bool | None, weights=None):
         """Running sums of the list `values` through each position

@@ -6,13 +6,14 @@ most its cap, sparsely, and every operation truncates at the cap.
 Coefficients live in an abstract field with the protocol of
 `exactnum.RationalField`: the rationals or a cyclotomic field.
 
-Products and inverses sum products of coefficients as integers: the
-field's `integer_form` turns each operand's coefficients, over one
-denominator, into integers (numerators over Q, Kronecker-packed vectors
-over Q(zeta_n)) and each output is a plain integer sum, converted back
-once.  At most pairs = min(|A|, |B|) products meet in an output, so the
-packed digits hold pairs * `CycloField._terms` * max|a| * max|b|.  A sum
-nonzero as an integer but zero modulo Phi_n is dropped like any zero.
+Products and inverses sum coefficient products as integers.  The
+field's `integer_form` brings each operand over one denominator to
+integers: numerators over Q, Kronecker-packed vectors over Q(zeta_n)
+with digits for pairs * `CycloField._terms` * max|a| * max|b|, since at
+most pairs = min(|A|, |B|) products meet in an output.  Each output sum
+is converted back once; a sum zero modulo Phi_n is dropped.  Operands
+of one or two terms, and inverse layers of single products, stay in the
+field: so few products cost less than a pack and an unpack.
 """
 
 from __future__ import annotations
@@ -30,36 +31,27 @@ def monomial_weight(exps: tuple[int, int, int]) -> int:
     return exps[0] + exps[1] + 2 * exps[2]
 
 
-def _keyed(coeffs: dict, cap: int) -> list:
-    """(weight, key, coefficient) per monomial, in weight order.  The key
-    of x^a y^b z^c is a + b S + c S^2, S = cap + 1, so keys add as the
-    monomials multiply up to the cap."""
-    s = cap + 1
-    return sorted([(a + b + 2 * c, a + s * (b + s * c), v) for (a, b, c), v in coeffs.items()])
-
-
-def _exponents(key: int, cap: int) -> tuple[int, int, int]:
-    bc, a = divmod(key, cap + 1)
-    c, b = divmod(bc, cap + 1)
-    return a, b, c
+def _by_weight(coeffs: dict) -> list:
+    """(weight, exponents, coefficient) per monomial, in weight order."""
+    return sorted([(a + b + 2 * c, (a, b, c), v) for (a, b, c), v in coeffs.items()])
 
 
 def _sum_products(field, left: list, right: list, spans: list) -> dict:
     """Sums of coefficient products of `left` and `right` terms by the sum
-    of their keys, left[i] meeting right[lo:hi] for (lo, hi) = spans[i].
+    of their exponents, left[i] meeting right[lo:hi] for (lo, hi) = spans[i].
     For one output and one left term at most one right term matches."""
     pairs = min(len(left), len(right))
     if pairs <= 1:
-        # every sum is one product, taken in the field
-        return {ka + kb: a * b for (_, ka, a), (lo, hi) in zip(left, spans)
-                for _, kb, b in right[lo:hi]}
+        # every sum is one product, as in each layer of a binomial's inverse
+        return {(a + a2, b + b2, c + c2): x * y for (_, (a, b, c), x), (lo, hi) in zip(left, spans)
+                for _, (a2, b2, c2), y in right[lo:hi]}
     xs, ys, back = field.integer_form([c for _, _, c in left], [c for _, _, c in right], pairs)
-    keys = [k for _, k, _ in right]
+    exps = [e for _, e, _ in right]
     acc: dict = {}
     get = acc.get
-    for (_, ka, _), x, (lo, hi) in zip(left, xs, spans):
-        for kb, y in zip(keys[lo:hi], ys[lo:hi]):
-            k = ka + kb
+    for (_, (a, b, c), _), x, (lo, hi) in zip(left, xs, spans):
+        for (a2, b2, c2), y in zip(exps[lo:hi], ys[lo:hi]):
+            k = (a + a2, b + b2, c + c2)
             acc[k] = get(k, 0) + x * y
     return {k: back(total) for k, total in acc.items() if total}
 
@@ -129,20 +121,21 @@ class MultiSeries:
         short, long = self.coeffs, other.coeffs
         if len(short) > len(long):
             short, long = long, short
-        if len(short) == 1:
-            # a one-term operand: the other series shifted and scaled
-            ((a, b, c), v), = short.items()
-            top = cap - a - b - 2 * c
-            return MultiSeries(field, cap, {(a + a2, b + b2, c + c2): v * v2
-                                            for (a2, b2, c2), v2 in long.items()
-                                            if a2 + b2 + 2 * c2 <= top})
-        left, right = _keyed(short, cap), _keyed(long, cap)
+        if len(short) <= 2:
+            # one or two terms: the few products are taken in the field
+            out: dict = {}
+            for (a, b, c), v in short.items():
+                top = cap - a - b - 2 * c
+                for (a2, b2, c2), v2 in long.items():
+                    if a2 + b2 + 2 * c2 <= top:
+                        e = (a + a2, b + b2, c + c2)
+                        out[e] = out[e] + v * v2 if e in out else v * v2
+            return MultiSeries(field, cap, out)
+        left, right = _by_weight(short), _by_weight(long)
         # right is in weight order: a term of weight w meets a prefix of it
         weights = [w for w, _, _ in right]
         spans = [(0, bisect_right(weights, cap - w)) for w, _, _ in left]
-        sums = _sum_products(field, left, right, spans)
-        return MultiSeries(field, cap,
-                           {_exponents(k, cap): c for k, c in sums.items()})
+        return MultiSeries(field, cap, _sum_products(field, left, right, spans))
 
     def scale(self, c) -> "MultiSeries":
         if isinstance(c, (int, Fraction)):
@@ -205,8 +198,8 @@ class MultiSeries:
             raise ZeroDivisionError("series with zero constant term has no inverse")
         inv0 = c0 ** -1
         field, cap = self.field, self.cap
-        left = _keyed({e: -inv0 * c for e, c in self.coeffs.items() if e != (0, 0, 0)}, cap)
-        right = [(0, 0, inv0)]
+        left = _by_weight({e: -inv0 * c for e, c in self.coeffs.items() if e != (0, 0, 0)})
+        right = [(0, (0, 0, 0), inv0)]
         starts = [0, 1]  # right[starts[w]:starts[w + 1]] is the layer B_w
         for w in range(1, cap + 1):
             use = [t for t in left if t[0] <= w]
@@ -214,7 +207,7 @@ class MultiSeries:
             sums = _sum_products(field, use, right, spans)
             right += [(w, k, c) for k, c in sums.items()]
             starts.append(len(right))
-        return MultiSeries(field, cap, {_exponents(k, cap): c for _, k, c in right})
+        return MultiSeries(field, cap, {e: c for _, e, c in right})
 
     def map_coefficients(self, fn, field=None) -> "MultiSeries":
         return MultiSeries(field or self.field, self.cap,

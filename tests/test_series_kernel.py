@@ -110,7 +110,9 @@ def monomial_sets(draw, cap: int, min_size: int = 2):
 @st.composite
 def cyclo_series_pair(draw):
     """Two series over one field of KERNEL_NS, each of at least two terms,
-    with coefficients of one drawn size and small denominators."""
+    with coefficients of one drawn size and small denominators.  A product
+    with an operand of two terms is taken in the field, whose element
+    products pack at their own widths."""
     field = get_field(draw(st.sampled_from(KERNEL_NS)))
     cap = draw(st.integers(1, CAP_MAX))
     out = []
@@ -132,7 +134,8 @@ def test_cyclotomic_product_matches_schoolbook(pair):
     a, b = pair
     product, widths = kernel_product(a, b)
     assert product == schoolbook_mul(a, b)
-    assert widths == {expected_width(a, b)}
+    if min(len(a.coeffs), len(b.coeffs)) > 2:
+        assert widths == {expected_width(a, b)}
 
 
 @st.composite
@@ -142,7 +145,7 @@ def banded_pair(draw):
     height; returns the band's width and the pair."""
     field = get_field(draw(st.sampled_from(KERNEL_NS)))
     cap = draw(st.integers(2, CAP_MAX))
-    monos = [draw(monomial_sets(cap)) for _ in range(2)]
+    monos = [draw(monomial_sets(cap, min_size=3)) for _ in range(2)]
     base = field._terms * min(map(len, monos))
     reachable = [w for w, (lo, hi) in BANDS.items() if base < 2 ** (hi + 1)]
     width = draw(st.sampled_from(reachable))
@@ -176,17 +179,17 @@ def test_product_takes_the_width_its_bound_selects(case):
 
 @pytest.mark.parametrize("n, h, wide", [(1, 11, 2), (2, 11, 2), (9, 3, 2)])
 def test_pair_count_alone_widens_the_digits(n, h, wide):
-    """_terms * h^2 fits one byte, 2 * _terms * h^2 does not: the two
-    products h * h that meet at x need the wider digit.  At n = 1 and 2
-    their sum 2 h^2 = 242 reads as -14 in one signed byte."""
+    """_terms * h^2 fits one byte, 3 * _terms * h^2 does not: the three
+    products h * h that meet at x^2 need the wider digit.  At n = 1 and 2
+    their sum 3 h^2 = 363 reads as 107 in one signed byte."""
     field = get_field(n)
     c = field.from_rational(h)
     assert width_for(field._terms * h * h) == 1
-    s = MultiSeries(field, 4, {(0, 0, 0): c, (1, 0, 0): c})
+    s = MultiSeries(field, 4, {(0, 0, 0): c, (1, 0, 0): c, (2, 0, 0): c})
     product, widths = kernel_product(s, s)
     assert widths == {wide}
     assert product == schoolbook_mul(s, s)
-    assert product.coefficient(1, 0, 0) == field.from_rational(2 * h * h)
+    assert product.coefficient(2, 0, 0) == field.from_rational(3 * h * h)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
