@@ -1,11 +1,11 @@
 """Weight/depth/height generating functions at a root of unity and the
 kernel that evaluates them in closed form.
 
-Everything here is coefficient-exact: the generating function of profile
-sums is built in one pass as a product over m (with the brute-force
-assembly from the nested-sum engine kept as its oracle), the kernel
-expands a binomial double sum, and the two must agree monomial by
-monomial.  The product and recurrence routes for the one-variable
+Everything here is coefficient-exact: the strict generating function of
+profile sums is a product over m and the non-strict one its `to_star`
+(the brute-force assembly from the nested-sum engine is the oracle of
+both), the kernel expands a binomial double sum, and the two must agree
+monomial by monomial.  The product and recurrence routes for the one-variable
 generating function serve as mutual oracles, and the q-difference
 recursions of the truncated polylogarithms are checked as polynomial
 identities.
@@ -77,9 +77,8 @@ def u_kernel(n: int, cap: int, field=RATIONALS) -> MultiSeries:
 
 
 def u_kernel_star(n: int, cap: int) -> MultiSeries:
-    """Kernel for the non-strict sums: the inverse of the kernel at
-    (x, -y, -z)."""
-    return flip_yz(u_kernel(n, cap)).invert()
+    """Kernel for the non-strict sums: `to_star` of the kernel."""
+    return to_star(u_kernel(n, cap))
 
 
 def flip_yz(s: MultiSeries) -> MultiSeries:
@@ -89,6 +88,13 @@ def flip_yz(s: MultiSeries) -> MultiSeries:
         s.cap,
         {e: (-c if (e[1] + e[2]) % 2 else c) for e, c in s.coeffs.items()},
     )
+
+
+def to_star(s: MultiSeries) -> MultiSeries:
+    """s at (x, -y, -z), inverted: prod (1 - g)^(-1) from s = prod (1 + g)
+    when every term of every g carries one y or one z, as E(t) H(-t) = 1
+    for elementary and complete symmetric functions (Macdonald, I.2)."""
+    return flip_yz(s).invert()
 
 
 def f_bruteforce(n: int, cap: int, star: bool = False) -> MultiSeries:
@@ -112,17 +118,17 @@ def f_bruteforce(n: int, cap: int, star: bool = False) -> MultiSeries:
 
 @functools.lru_cache(maxsize=16)
 def f_series(n: int, cap: int, star: bool = False) -> MultiSeries:
-    """The series of `f_bruteforce`, built in one pass over m = 1..n-1.
+    """The series of `f_bruteforce`, built as a product over m = 1..n-1.
 
     A part p at chain position m contributes w^_p(m) * mono(p), where
     w^_p(m) = q^((p-1)m) (1 - q^m)^(-p) is the chain weight with the
     (1 - q)^(-p) of the modified value cancelled, mono(1) = y and
     mono(p) = x^(p-2) z; the monomial weight of mono(p) is p.  With
     g_m = sum_(p<=cap) w^_p(m) mono(p), strict chains give
-    prod_m (1 + g_m) and non-strict chains prod_m (1 - g_m)^(-1).  Both
-    are the same update of the weight layers, F[w] += sum_p g_p F[w - p]:
-    taken from the top weight down it reads the old lower layers (times
-    1 + g_m), from the bottom up the new ones (solving F' = F + g_m F').
+    F = prod_m (1 + g_m), one series product per m.  Non-strict chains give
+    prod_m (1 - g_m)^(-1) = to_star(F) exactly, since each mono(p) carries
+    one y or one z; it is taken over Q from the cached F, so the only
+    independent check of the non-strict sums is `f_bruteforce(star=True)`.
 
     Coefficients must come out rational; `to_rational` raises otherwise.
     The cached result is shared between callers; like every MultiSeries,
@@ -130,35 +136,28 @@ def f_series(n: int, cap: int, star: bool = False) -> MultiSeries:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    field = get_field(n)
-    backend = exact_backend(n)
-    layers = [{(0, 0, 0): field.one}] + [{} for _ in range(cap)]
-    monos = [None, (0, 1, 0)] + [(p - 2, 0, 1) for p in range(2, cap + 1)]
-    rows = [None] + [backend.polylog_row(p) for p in range(1, cap + 1)]
-    order = range(1, cap + 1) if star else range(cap, 0, -1)
+    if star:
+        return to_star(f_series(n, cap, False))
+    field, row_of = get_field(n), exact_backend(n).polylog_row
+    parts = [(p, (0, 1, 0) if p == 1 else (p - 2, 0, 1), row_of(p)) for p in range(1, cap + 1)]
+    total = MultiSeries.constant(1, cap, field)
     for m in range(1, n):
-        g = [None] + [field.zeta_pow((p - 1) * m) * rows[p][m - 1]
-                      for p in range(1, cap + 1)]
-        for w in order:
-            layer = layers[w]
-            for p in range(1, w + 1):
-                (a, b, c), gp = monos[p], g[p]
-                for (ea, eb, ec), v in layers[w - p].items():
-                    e = (ea + a, eb + b, ec + c)
-                    prev = layer.get(e)
-                    layer[e] = gp * v if prev is None else prev + gp * v
-    merged = {e: v for layer in layers for e, v in layer.items()}
-    return MultiSeries(field, cap, merged).to_rational()
+        factor = {(0, 0, 0): field.one}
+        for p, mono, row in parts:
+            factor[mono] = field.zeta_pow((p - 1) * m) * row[m - 1]
+        total = total * MultiSeries(field, cap, factor)
+    return total.to_rational()
 
 
 def verify_theorem_1_2(n: int, cap: int) -> VerificationReport:
     """Both generating-function identities at level n, coefficient-exactly:
     the strict series equals the kernel and the non-strict series equals
-    the inverse of the sign-flipped kernel."""
+    the inverse of the sign-flipped kernel.  Both starred sides are
+    `to_star` of the strict ones, so F* = U* follows from F = U."""
     f_plain = f_series(n, cap, False)
     u_plain = u_kernel(n, cap)
     f_star = f_series(n, cap, True)
-    u_star = flip_yz(u_plain).invert()  # u_kernel_star(n, cap)
+    u_star = to_star(u_plain)
     ok = f_plain == u_plain and f_star == u_star
     return VerificationReport(
         suite="thm-ohno-zagier",

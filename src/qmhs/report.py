@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 PASS = "pass"
 FAIL = "fail"
@@ -29,7 +29,8 @@ class VerificationReport:
         return self.status != FAIL
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The fields in order, as `dataclasses.asdict`; only `params` is copied."""
+        return {**vars(self), "params": dict(self.params)}
 
 
 def compare(suite: str, params: dict, lhs, rhs, render=str) -> VerificationReport:

@@ -27,7 +27,7 @@ from .closedforms import depth_one_bar, kkk_closed
 from .exactnum import bernoulli
 from .mhs import Index, zbar
 from .ohno_zagier import (
-    flip_yz, lemma_3_2_rows, prop_3_3_rows, sum_formula_check, verify_theorem_1_2,
+    lemma_3_2_rows, prop_3_3_rows, sum_formula_check, to_star, verify_theorem_1_2,
 )
 from .report import FAIL, PASS, VerificationReport, compare
 from .xi import convergence_study, tilde_u, xi_kkk, xi_sum_formula
@@ -99,7 +99,7 @@ def _xi_kernel_rows(cap: int) -> Iterator[VerificationReport]:
                 "xi-kernel-sum", {"k": k, "r": r}, got, xi_sum_formula(k, r).coeff
             )
     # star kernel agrees with the plain kernel on depth-one profiles
-    star = flip_yz(kernel).invert()  # tilde_u_star(cap)
+    star = to_star(kernel)  # tilde_u_star(cap)
     for k in range(1, cap + 1):
         a = star.coefficient(0, 1, 0) if k == 1 else star.coefficient(k - 2, 0, 1)
         b = kernel.coefficient(0, 1, 0) if k == 1 else kernel.coefficient(k - 2, 0, 1)

@@ -24,7 +24,7 @@ from .multiseries import (
     ms_divide_xy_minus_z,
     x_over_sinh_half_x,
 )
-from .ohno_zagier import flip_yz
+from .ohno_zagier import to_star
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def tilde_u(cap: int) -> MultiSeries:
 
 def tilde_u_star(cap: int) -> MultiSeries:
     """Kernel of the non-strict limits: inverse of the kernel at (x, -y, -z)."""
-    return flip_yz(tilde_u(cap)).invert()
+    return to_star(tilde_u(cap))
 
 
 @dataclass(frozen=True)

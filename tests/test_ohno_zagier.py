@@ -19,6 +19,7 @@ from qmhs.ohno_zagier import (
     phi_recurrence,
     polylog,
     sum_formula_check,
+    to_star,
     transform_images,
     u_kernel,
     u_kernel_star,
@@ -279,6 +280,91 @@ def test_f_series_matches_bruteforce(n):
     for cap in range(0, 8):
         for star in (False, True):
             assert f_series(n, cap, star) == f_bruteforce(n, cap, star), (cap, star)
+
+
+def f_series_layers(n, cap, star=False):
+    """The weight-layer update F[w] += sum_p g_p F[w - p] over m = 1..n-1,
+    with the g_p of `f_series` as field elements: from the top weight down
+    it reads the old lower layers (times 1 + g_m), from the bottom up the
+    new ones (solving F' = F + g_m F').  The oracle for the series product
+    and for the inverse of the sign flip in `f_series`."""
+    field = get_field(n)
+    backend = exact_backend(n)
+    layers = [{(0, 0, 0): field.one}] + [{} for _ in range(cap)]
+    monos = [None, (0, 1, 0)] + [(p - 2, 0, 1) for p in range(2, cap + 1)]
+    rows = [None] + [backend.polylog_row(p) for p in range(1, cap + 1)]
+    order = range(1, cap + 1) if star else range(cap, 0, -1)
+    for m in range(1, n):
+        g = [None] + [field.zeta_pow((p - 1) * m) * rows[p][m - 1]
+                      for p in range(1, cap + 1)]
+        for w in order:
+            layer = layers[w]
+            for p in range(1, w + 1):
+                (a, b, c), gp = monos[p], g[p]
+                for (ea, eb, ec), v in layers[w - p].items():
+                    e = (ea + a, eb + b, ec + c)
+                    prev = layer.get(e)
+                    layer[e] = gp * v if prev is None else prev + gp * v
+    merged = {e: v for layer in layers for e, v in layer.items()}
+    return MultiSeries(field, cap, merged).to_rational()
+
+
+LAYER_ORACLE_SIZES = sorted(
+    {(9, 7), (10, 8), (16, 10)}
+    | {(n, 6) for n in range(1, 11)}  # thm12 defaults
+    | {(n, 8) for n in range(1, 8)}  # the sumformula bench range
+)
+
+
+@pytest.mark.parametrize("star", (False, True))
+@pytest.mark.parametrize("n,cap", LAYER_ORACLE_SIZES)
+def test_f_series_matches_layer_oracle(n, cap, star):
+    assert f_series(n, cap, star) == f_series_layers(n, cap, star)
+
+
+def _count_field_ops(monkeypatch):
+    """Count field multiplies and adds (`_combine` serves + and -)."""
+    calls = {"__mul__": 0, "_combine": 0}
+    for name in calls:
+        original = getattr(CycloElem, name)
+
+        def counting(*args, original=original, name=name):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(CycloElem, name, counting)
+    return calls
+
+
+def _warm_f_series_inputs(n, cap):
+    f_series.cache_clear()
+    backend = exact_backend(n)
+    for p in range(1, cap + 1):
+        backend.polylog_row(p)  # rows built outside the count
+
+
+def test_f_series_strict_is_one_series_product_per_level(monkeypatch):
+    n, cap = 10, 8
+    _warm_f_series_inputs(n, cap)
+    calls = _count_field_ops(monkeypatch)
+    plain = f_series(n, cap, False)
+    monkeypatch.undo()
+    # per level: cap products zeta^((p-1)m) * row entry; the first level's
+    # series product may multiply its cap + 1 terms by the constant 1
+    assert calls["__mul__"] <= (n - 1) * (cap + 1)
+    assert calls["_combine"] == 0
+    assert plain == f_series_layers(n, cap)
+
+
+def test_f_series_star_makes_no_field_operation(monkeypatch):
+    n, cap = 10, 8
+    _warm_f_series_inputs(n, cap)
+    plain = f_series(n, cap, False)
+    calls = _count_field_ops(monkeypatch)
+    star = f_series(n, cap, True)
+    monkeypatch.undo()
+    assert calls == {"__mul__": 0, "_combine": 0}
+    assert star == to_star(plain)
 
 
 def test_f_series_matches_kernels_at_16_10():
