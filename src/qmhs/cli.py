@@ -1,8 +1,9 @@
 """Command-line interface: compute values, run verification suites,
 emit tables, and probe the conjectured identities.
 
-Exit codes: 0 all passed, 1 verification failure, 2 invalid input or a
-numeric overflow, 3 output I/O failure, 4 out of memory, 130 interrupted.
+Exit codes: 0 all passed, 1 verification failure, 2 invalid input (an
+exact `compute` above `EXACT_N_MAX` included) or a numeric overflow,
+3 output I/O failure, 4 out of memory, 130 interrupted.
 Each error prints one `error:` line to stderr and no traceback.  Exact
 values are always serialized as strings; JSON numbers cannot carry big
 rationals losslessly.
@@ -30,6 +31,11 @@ EXIT_BAD_INPUT = 2
 EXIT_IO_FAIL = 3
 EXIT_OUT_OF_MEMORY = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
+
+# The largest level `compute` evaluates exactly.  Each exact weight row
+# holds about n^2 integers: at n = 769, z of (3, 2, 1) took 2.4 s and
+# 155 MB, growing as n^2 in memory and faster in time.
+EXACT_N_MAX = 1000
 
 
 def render_complex(v: complex) -> str:
@@ -105,6 +111,9 @@ def cmd_compute(args) -> int:
         value = fn(index, args.n, numeric_backend(args.n))
         print(render_complex(value))
         return EXIT_OK
+    if args.n > EXACT_N_MAX:
+        raise ValueError(f"--n {args.n} is above {EXACT_N_MAX}, the largest level of the "
+                         "exact backend; use --backend numeric")
     if args.modified:
         value = (zbar_star if args.star else zbar)(index, args.n)
     else:

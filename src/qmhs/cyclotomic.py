@@ -18,6 +18,12 @@ product with a rational or c*zeta^j operand is a shift and a scaling.
 The Galois action zeta -> zeta^u (u prime to n) permutes coefficients
 before one reduction; it conjugates the seeds of the backend tables and
 gives the inverse as the other conjugates over the norm.
+
+The exact chain DP of `mhs` runs on the same packed integers, in
+Z[x]/(x^n - 1): `_digits` and `_pack_digits` lay its rows down, `_fold`
+folds a product with x^n = 1 without unpacking it, `_widen` moves
+packed values to wider digits, and `_packed_digits` and `_read_digits`
+unpack its results.
 """
 
 from __future__ import annotations
@@ -25,10 +31,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import struct
 import sys
 from array import array
 from fractions import Fraction
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 
 from .exactnum import ONE, Poly
 
@@ -113,6 +120,87 @@ def _unpack(value: int, width: int, count: int, period: int,
             for i in range(0, len(raw), width)]
 
 
+# A digit's top byte to the byte that extends its sign.
+_SIGN_BYTES = bytes(255 if b >= 128 else 0 for b in range(256))
+
+
+def _digits(vecs: list, height: int) -> tuple[bytes, int]:
+    """The entries of `vecs`, at most `height` in size, laid down in order
+    as two's-complement digits, 8 bytes wide where that holds them; returns
+    the digits and their size in bytes."""
+    flat = list(chain.from_iterable(vecs))
+    if height < 1 << 63:
+        return struct.pack(f"<{len(flat)}q", *flat), 8
+    size = height.bit_length() // 8 + 1
+    return b"".join([c.to_bytes(size, "little", signed=True) for c in flat]), size
+
+
+def _relaid(raw: bytes, size: int, width: int) -> bytearray:
+    """Two's-complement digits of `size` bytes laid down again at `width`
+    bytes, one byte plane at a time: the low planes are cut from the
+    digits, the high ones are copies of the sign byte.  Every digit must
+    fit in `width` bytes."""
+    out = bytearray(width * (len(raw) // size))
+    signs = raw[size - 1::size].translate(_SIGN_BYTES) if width > size else b""
+    for j in range(width):
+        out[j::width] = raw[j::size] if j < size else signs
+    return out
+
+
+def _pack_digits(raw: bytes, size: int, length: int, width: int) -> list[int]:
+    """`_pack(v, width)` of each run v of `length` digits of `raw`, laid
+    down by `_digits` at `size` bytes, for entries below X / 2 in size."""
+    out = _relaid(raw, size, width)
+    step, shift = width * length, _offsets(width, length)
+    return [(int.from_bytes(out[i:i + step], "little") ^ shift) - shift
+            for i in range(0, len(out), step)]
+
+
+def _packed_digits(values: list, width: int, count: int) -> bytes:
+    """The digits of packed values of `count` digits at `width` bytes, in
+    two's complement: as in `_unpack`, shifted by X / 2 each digit is
+    nonnegative, and flipping its top bit gives it in two's complement."""
+    shift = _offsets(width, count)
+    return b"".join([((v + shift) ^ shift).to_bytes(width * count, "little") for v in values])
+
+
+def _read_digits(raw: bytes, size: int, length: int) -> list[list[int]]:
+    """The runs of `length` two's-complement digits of `size` bytes in
+    `raw` as integer vectors, re-laid at 8 bytes when narrower and read
+    by one `array` call."""
+    fmt = _FORMATS.get(size)
+    if not fmt and size < 8 and 8 in _FORMATS:
+        raw, fmt = _relaid(raw, size, 8), _FORMATS[8]
+    if fmt:
+        flat = array(fmt, raw).tolist()
+    else:
+        flat = [int.from_bytes(raw[i:i + size], "little", signed=True)
+                for i in range(0, len(raw), size)]
+    return [flat[i:i + length] for i in range(0, len(flat), length)]
+
+
+def _widen(values: list, count: int, width: int, wider: int) -> list[int]:
+    """Packed values of `count` digits at `width` bytes, packed again at
+    `wider` bytes."""
+    return _pack_digits(_packed_digits(values, width, count), width, count, wider)
+
+
+def _fold(values, width: int, period: int, count: int) -> list[int]:
+    """Each sum c_i X^i over i < count <= 2 * period, X = 2^(8 * width),
+    folded with X^period = 1 and left packed: sum (c_i + c_(i+period)) X^i.
+    As in `_unpack`, every c_i must be below X / 2 in size; shifted by
+    X / 2 each is a digit, the digits above X^period are added to those
+    below, and the two shifts are taken off.  Each step is one C-level
+    pass over all the values."""
+    shift = _offsets(width, count)
+    cut = period * 8 * width
+    low = (1 << cut) - 1
+    shifted = list(map(operator.add, values, repeat(shift)))
+    folded = map(operator.add, map(operator.and_, shifted, repeat(low)),
+                 map(operator.rshift, shifted, repeat(cut)))
+    return list(map(operator.sub, folded, repeat((shift & low) + (shift >> cut))))
+
+
 class CycloField:
     """Context for Q(zeta_n): the modulus, its degree, and power tables.
 
@@ -170,8 +258,9 @@ class CycloField:
         """As `exactnum.RationalField.integer_form`: each list over one
         denominator, each numerator vector packed at one width that holds a
         reduced coefficient of a sum, `pairs` * `_terms` entry products."""
-        da, va, ha = _common_denominator(left)
-        db, vb, hb = _common_denominator(right)
+        da, va = _common_denominator(left)
+        db, vb = _common_denominator(right)
+        ha, hb = (max(map(abs, chain.from_iterable(v))) for v in (va, vb))
         width = (self._terms * pairs * ha * hb).bit_length() // 8 + 1
         if width <= 8:
             width = 1 << (width - 1).bit_length()  # as in CycloElem.__mul__
@@ -296,12 +385,11 @@ def _elem(field: CycloField, num: tuple, den: int) -> "CycloElem":
     return e
 
 
-def _common_denominator(elems: list) -> tuple[int, list, int]:
-    """The least common denominator of some elements, their numerator
-    vectors over it and the largest size of an entry."""
+def _common_denominator(elems: list) -> tuple[int, list]:
+    """The least common denominator of some elements and their numerator
+    vectors over it."""
     den = math.lcm(*(a.den for a in elems))
-    vecs = [a.num if a.den == den else [c * (den // a.den) for c in a.num] for a in elems]
-    return den, vecs, max(map(abs, chain.from_iterable(vecs)))
+    return den, [a.num if a.den == den else [c * (den // a.den) for c in a.num] for a in elems]
 
 
 def _normalized(field: CycloField, num, den: int) -> "CycloElem":

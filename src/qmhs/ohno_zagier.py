@@ -308,8 +308,11 @@ def polylog(index: Index, n: int, star: bool = False) -> Poly:
     if index.depth == 0:
         return Poly([1], get_field(n))
     backend = exact_backend(n)
-    terms = _outer_terms(index.parts, backend, star, backend.polylog_row)
-    return Poly([backend.zero] + terms, backend.field)
+    if index.depth == 1:  # no level to run: the terms are the row itself
+        return Poly([backend.zero, *backend.polylog_row(index.parts[0])], backend.field)
+    ring = backend.ring(index.parts, polylog=True)
+    terms = _outer_terms(index.parts, ring, star, ring.weight_row)
+    return Poly([backend.zero, *ring.elements(terms)], backend.field)
 
 
 def lemma_3_2_rows(n: int, weight_cap: int) -> Iterator[VerificationReport]:

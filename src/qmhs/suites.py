@@ -20,7 +20,6 @@ import math
 import os
 import time
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .closedforms import depth_one_bar, kkk_closed
@@ -143,11 +142,20 @@ def _timed(fn, args) -> list[VerificationReport]:
     return rows
 
 
+# The pool class, None for concurrent.futures.ProcessPoolExecutor, which
+# is imported only where a pool starts: a serial run never loads
+# multiprocessing.
+ProcessPoolExecutor = None
+
+
 def _run(fn, instances, parallelism: int) -> list[VerificationReport]:
     timed = functools.partial(_timed, fn)
     workers = worker_count(parallelism, len(instances))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool_type = ProcessPoolExecutor
+        if pool_type is None:
+            from concurrent.futures import ProcessPoolExecutor as pool_type
+        with pool_type(max_workers=workers) as pool:
             results = list(pool.map(timed, instances))
     else:
         results = [timed(args) for args in instances]

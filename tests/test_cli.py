@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +73,34 @@ def test_compute_numeric_rejects_non_positive_n(capsys, n):
     assert code == 2
     assert out == ""
     assert err == "error: n must be a positive integer\n"
+
+
+@pytest.mark.parametrize("flags", ((), ("--modified",), ("--star",)))
+def test_exact_compute_above_the_ceiling_is_input_error(capsys, flags):
+    """Refused before any field or backend is built."""
+    from qmhs import cli
+    from qmhs.mhs import exact_backend
+
+    n = cli.EXACT_N_MAX + 1
+    built = get_field.cache_info().misses, exact_backend.cache_info().misses
+    code, out, err = run_cli(capsys, "compute", "--index", "2", "--n", str(n), *flags)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: --n {n} is above {cli.EXACT_N_MAX}, the largest level "
+                   "of the exact backend; use --backend numeric\n")
+    assert (get_field.cache_info().misses, exact_backend.cache_info().misses) == built
+
+
+def test_exact_compute_ceiling_is_inclusive(capsys, monkeypatch):
+    from qmhs import cli
+
+    monkeypatch.setattr(cli, "EXACT_N_MAX", 4)
+    code, out, _ = run_cli(capsys, "compute", "--index", "2", "--n", "4")
+    assert code == 0 and out.strip() == "5/2*z"
+    code, out, _ = run_cli(capsys, "compute", "--index", "2", "--n", "5")
+    assert code == 2 and out == ""
+    code, out, _ = run_cli(capsys, "compute", "--index", "2", "--n", "5", "--backend", "numeric")
+    assert code == 0
 
 
 def test_bad_index_is_input_error(capsys):
@@ -182,6 +213,19 @@ def test_worker_count_is_clamped(monkeypatch):
     assert suites.worker_count(8, 0) == 1
     monkeypatch.setattr(suites.os, "cpu_count", lambda: None)
     assert suites.worker_count(500, 100) == 1
+
+
+def test_cli_import_loads_no_process_pool():
+    """A serial run needs no pool, so importing the CLI loads neither
+    multiprocessing nor the process-pool module."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = ("import sys, qmhs.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_huge_parallelism_on_one_cpu_starts_no_pool(capsys, monkeypatch):

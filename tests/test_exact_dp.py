@@ -1,0 +1,143 @@
+"""Differential checks of the exact chain DP.
+
+The DP runs in Z[x]/(x^n - 1) on Kronecker-packed integers and reduces
+modulo the cyclotomic polynomial once per evaluation (`mhs.PackedChain`).
+Its oracles here are the former field DP, kept below, which takes one
+CycloElem add and one multiply per step, level by level, and
+`brute_force`, which enumerates the chains.  The polylogarithms, the
+outermost terms of the same DP, are checked against the former m-major
+recursion in `test_ohno_zagier.py`.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qmhs.cyclotomic import CycloElem
+from qmhs.mhs import (
+    ExactBackend,
+    Index,
+    _evaluate,
+    brute_force,
+    enumerate_indices,
+    exact_backend,
+    z,
+    z_star,
+)
+
+INDICES = [ix for w in range(1, 6) for r in range(1, w + 1) for ix in enumerate_indices(w, r)]
+LEVELS = [*range(1, 17), 20, 41, 49]
+
+
+def field_terms(parts, backend, star, row):
+    """The former level loop in the field: the innermost row, then for
+    each level outwards the running sums of the terms below, exclusive
+    (strict) or inclusive (star), each times the level's weight."""
+    terms = list(row(parts[-1]))
+    for k in reversed(parts[:-1]):
+        total = backend.zero
+        for i, (v, w) in enumerate(zip(terms, row(k))):
+            new = total + v
+            terms[i] = w * (new if star else total)
+            total = new
+    return terms
+
+
+def field_dp(parts, backend, star):
+    return sum(field_terms(parts, backend, star, backend.weight_row), backend.zero)
+
+
+@pytest.mark.parametrize("n", LEVELS)
+def test_packed_dp_matches_field_dp(n):
+    backend = exact_backend(n)
+    for ix in INDICES:
+        assert z(ix, n) == field_dp(ix.parts, backend, False), ix
+        assert z_star(ix, n) == field_dp(ix.parts, backend, True), ix
+
+
+@pytest.mark.parametrize("n", LEVELS)
+def test_packed_dp_matches_brute_force(n):
+    # past n = 16 the chains of depth 3 and more are too many to list
+    for ix in INDICES:
+        if n > 16 and ix.depth > 2:
+            continue
+        assert z(ix, n) == brute_force(ix, n), ix
+        assert z_star(ix, n) == brute_force(ix, n, star=True), ix
+
+
+def test_rows_are_lifted_once_and_packed_at_one_width():
+    backend = ExactBackend(9)
+    lifted = backend.lift(2)
+    assert backend.lift(2) is lifted
+    assert backend.lift(2, polylog=True) is not lifted
+    narrow = backend.packed_row(2, False, 2)
+    assert backend.packed_row(2, False, 2) is narrow
+    wide = backend.packed_row(2, False, 3)
+    assert wide is not narrow and backend.packed_row(2, False, 3) is wide
+
+
+class _GivenRows(ExactBackend):
+    """An exact backend whose weight rows are given."""
+
+    def __init__(self, n, rows):
+        super().__init__(n)
+        self.rows = rows
+
+    def weight_row(self, k):
+        return iter(self.rows[k])
+
+
+def _extreme_row(field, n, value):
+    return [CycloElem(field, [value] + [0] * (field.degree - 1)) for _ in range(1, n)]
+
+
+@pytest.mark.parametrize("width", range(1, 11))
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("past", (0, 1))
+def test_a_coefficient_at_a_digit_boundary(width, sign, past):
+    """At n = 2 a value is its one coefficient, and the bound of (1, 2)
+    is the product of its rows' entries.  X / 2 - 1 is the largest
+    coefficient a digit of `width` bytes holds, and X / 2 needs one byte
+    more."""
+    value = sign * ((1 << (8 * width - 1)) - 1 + past)
+    field = exact_backend(2).field
+    backend = _GivenRows(2, {1: _extreme_row(field, 2, value), 2: _extreme_row(field, 2, 1)})
+    want = field.from_rational(value)
+    assert _evaluate(Index((1,)), 2, backend, False) == want
+    assert _evaluate(Index((1, 2)), 2, backend, True) == want
+    assert backend.packed_row(1, False, width + past) == [value]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 41]),
+    parts=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    bits=st.integers(1, 72),
+    aligned=st.booleans(),
+    star=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_packed_dp_matches_field_dp_on_wide_rows(n, parts, bits, aligned, star, seed):
+    """Rows of coefficients up to 2^bits.  Aligned rows have every
+    coefficient of one size and sign, so that the terms come close to
+    their bounds, and the bounds land on every bit of a digit as `bits`
+    runs; other rows draw every coefficient and denominator."""
+    rng = random.Random(seed)
+    field = exact_backend(n).field
+    rows = {}
+    for k in set(parts):
+        if aligned:
+            value = rng.choice((1, -1)) * ((1 << bits) - rng.randrange(2))
+            rows[k] = [CycloElem(field, [value] * field.degree) for _ in range(1, n)]
+            continue
+        rows[k] = [
+            CycloElem(field, [Fraction(rng.randrange(-(1 << bits), 1 << bits), rng.randint(1, 6))
+                              for _ in range(field.degree - 1)] + [rng.choice((1, -1)) << bits])
+            for _ in range(1, n)
+        ]
+    backend = _GivenRows(n, rows)
+    parts = tuple(parts)
+    assert _evaluate(Index(parts), n, backend, star) == field_dp(parts, backend, star)
