@@ -2,7 +2,8 @@
 emit tables, and probe the conjectured identities.
 
 Exit codes: 0 all passed, 1 verification failure, 2 invalid input (an
-exact `compute` above `EXACT_N_MAX` included) or a numeric overflow,
+exact `compute` above `EXACT_N_MAX`, and `verify` above `VERIFY_N_MAX`
+or `VERIFY_CAP_MAX`, included) or a numeric overflow,
 3 output I/O failure, 4 out of memory, 130 interrupted.
 Each error prints one `error:` line to stderr and no traceback.  Exact
 values are always serialized as strings; JSON numbers cannot carry big
@@ -33,9 +34,18 @@ EXIT_OUT_OF_MEMORY = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 # The largest level `compute` evaluates exactly.  Each exact weight row
-# holds about n^2 integers: at n = 769, z of (3, 2, 1) took 2.4 s and
-# 155 MB, growing as n^2 in memory and faster in time.
+# holds about n^2 integers: at n = 769, z of (3, 2, 1) took 2.1 s and
+# 94 MB, growing as n^2 in memory and faster in time.
 EXACT_N_MAX = 1000
+
+# The largest `--n-max` and `--cap` that `verify` takes.  A suite's cost
+# grows polynomially in n and, through the 2^cap indices of `polylog`,
+# exponentially in cap: `thm11 --n-max 100` took 10 s, `thm12 --n-max 64
+# --cap 8` 5 s and `polylog --n-max 8 --cap 12` 11 s.  Both sit above
+# every default (n <= 20, cap <= 8) and every documented range (levels to
+# 39 at cap 8, `thm12 --n-max 14 --cap 12`).
+VERIFY_N_MAX = 100
+VERIFY_CAP_MAX = 16
 
 
 def render_complex(v: complex) -> str:
@@ -123,6 +133,10 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value, ceiling in (("--n-max", args.n_max, VERIFY_N_MAX),
+                                 ("--cap", args.cap, VERIFY_CAP_MAX)):
+        if value is not None and value > ceiling:
+            raise ValueError(f"{flag} {value} is above {ceiling}, the largest `verify` takes")
     parallelism = default_parallelism(args.parallelism)
     reports = run_suite(
         args.suite,

@@ -16,8 +16,11 @@ s = n/p, and the product is reduced inside the packed integer.  A
 product with a rational or c*zeta^j operand is a shift and a scaling.
 
 The Galois action zeta -> zeta^u (u prime to n) permutes coefficients
-before one reduction; it conjugates the seeds of the backend tables and
-gives the inverse as the other conjugates over the norm.
+before one reduction: x -> x^u is an automorphism of Z[x]/(x^n - 1)
+that maps the modulus to a multiple of itself.  Twisted by a power of
+zeta and times a power of 1 - zeta, both cyclic operations on the same
+vectors, it builds every entry of the backend tables of `mhs` with no
+product, and it gives the inverse as the other conjugates over the norm.
 
 The exact chain DP of `mhs` runs on the same packed integers, in
 Z[x]/(x^n - 1): `_digits` and `_pack_digits` lay its rows down, `_fold`
@@ -271,17 +274,31 @@ class CycloField:
 
         return [_pack(v, width) for v in va], [_pack(v, width) for v in vb], back
 
-    def conjugate(self, a: "CycloElem", u: int) -> "CycloElem":
-        """sigma_u(a), zeta -> zeta^u for u prime to n.  An automorphism of
-        Z[zeta] keeps the denominator and the content, so the coefficient
-        of zeta^i moves to zeta^(iu) and the vector is reduced once."""
+    def conjugates(self, a: "CycloElem", pairs, power: int = 0) -> list["CycloElem"]:
+        """zeta^t (1 - zeta)^power sigma_u(a) for each (u, t) of `pairs`,
+        sigma_u: zeta -> zeta^u for u prime to n, with no product.
+
+        x -> x^u is an automorphism of Z[x]/(x^n - 1) that maps phi to a
+        multiple of itself, so it acts on the numerator before one
+        reduction: position p of the image takes the coefficient of
+        x^((p - t) u^(-1) mod n), one slice with step u^(-1) of the
+        numerator padded to length n and laid n times over.  Times 1 - x
+        is a cyclic difference.  The differences, unlike sigma_u and the
+        twist, may change the content, so each image is brought to
+        lowest terms."""
         n = self.n
-        if math.gcd(u, n) != 1:
-            raise ValueError(f"{u} is not a unit modulo {n}")
-        vec = [0] * n
-        for i, c in enumerate(a.num):
-            vec[i * u % n] = c
-        return _elem(self, tuple(self._reduce(vec)), a.den)
+        laps = [*a.num, *repeat(0, n - len(a.num))] * n
+        out = []
+        for u, t in pairs:
+            if math.gcd(u, n) != 1:
+                raise ValueError(f"{u} is not a unit modulo {n}")
+            step = pow(u, -1, n) or 1  # modulo 1 the inverse is 0
+            start = -t * step % n
+            vec = laps[start:start + n * step:step]
+            for _ in range(power):
+                vec = list(map(operator.sub, vec, vec[-1:] + vec[:-1]))
+            out.append(_normalized(self, self._reduce(vec), a.den))
+        return out
 
     def element(self, poly: Poly) -> "CycloElem":
         """Image of a rational polynomial in zeta, reduced modulo phi."""
@@ -296,22 +313,6 @@ class CycloField:
     def zeta_pow(self, j: int) -> "CycloElem":
         """zeta^j for any integer j (exponent taken mod n)."""
         return self._zeta_pows[j % self.n]
-
-    def inv_one_minus_zeta_pow(self, m: int) -> "CycloElem":
-        """(1 - zeta^m)^(-1) in closed form, for n not dividing m.
-
-        With x = zeta^m a primitive n'-th root of unity, n' = n / gcd(m, n),
-        (1 - x) * sum_{j<n'} j x^j = -n', so the inverse is
-        -(1/n') * sum_{j<n'} j x^j.
-        """
-        n = self.n
-        if m % n == 0:
-            raise ZeroDivisionError(f"1 - zeta^{m} vanishes at a primitive {n}-th root of unity")
-        order = n // math.gcd(m, n)
-        vec = [0] * n
-        for j in range(1, order):
-            vec[(m * j) % n] -= j
-        return _normalized(self, self._reduce(vec), order)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CycloField) and other.n == self.n
@@ -502,9 +503,9 @@ class CycloElem:
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
         field = self.field
         cof = field.one
-        for u in range(2, field.n):
-            if math.gcd(u, field.n) == 1:
-                cof = cof * field.conjugate(self, u)
+        units = [(u, 0) for u in range(2, field.n) if math.gcd(u, field.n) == 1]
+        for image in field.conjugates(self, units):
+            cof = cof * image
         return cof * field.from_rational(1 / (self * cof).rational_part())
 
     def __truediv__(self, other: "CycloElem") -> "CycloElem":

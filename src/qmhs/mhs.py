@@ -8,6 +8,11 @@ integers over one denominator per evaluation, reduced modulo the
 cyclotomic polynomial once, at the end (`PackedChain`).  Reduction is a
 ring map onto Z[zeta_n], so the value is exactly the one the field
 arithmetic of `cyclotomic` gives step by step.
+
+The exact weights are built in the same ring with no field product
+(`ExactBackend`), as twisted Galois conjugates: x -> x^u, u prime to n,
+is an automorphism of Z[x]/(x^n - 1) that maps the cyclotomic
+polynomial to a multiple of itself.
 """
 
 from __future__ import annotations
@@ -141,16 +146,33 @@ class Lift(NamedTuple):
     norms: list
 
 
+def _inverse_power(order: int, k: int) -> list[int]:
+    """order^k (1 - y)^(-k) in Z[y]/(y^order - 1), for y a primitive
+    order-th root of unity, order > 1: k divisions by 1 - y, with no
+    product.  A vector v with v(1) = 0 is (1 - y) times its running sums,
+    and order v - v(1) (1 + y + ... + y^(order-1)) has that sum 0 and is
+    order v modulo the cyclotomic polynomial, which divides
+    1 + y + ... + y^(order-1)."""
+    vec = [1, *itertools.repeat(0, order - 1)]
+    for _ in range(k):
+        scaled = map(operator.mul, vec, itertools.repeat(order))
+        vec = list(itertools.accumulate(map(operator.sub, scaled, itertools.repeat(sum(vec)))))
+    return vec
+
+
 class ExactBackend:
     """Value field Q(zeta_n) with q = zeta_n.
 
     The polylogarithm weights (1 - zeta^m)^(-k) and the chain weights
-    q^((k-1)m) / [m]^k are cached in one row per k, filled on demand.
-    A polylogarithm row takes one power per g = gcd(m, n): with u a unit
-    mod n and u = m/g mod n/g, (1 - zeta^m)^(-k) = sigma_u((1 - zeta^g)^(-k)).
-    A chain weight row is that row times (1 - zeta)^k, since
-    [m] = (1 - zeta^m) / (1 - zeta), and times zeta^((k-1)m).  All cached
-    values are immutable.
+    q^((k-1)m) / [m]^k are cached in one row per k, filled on demand, as
+    twisted Galois conjugates of one power s_g^k per g = gcd(m, n),
+    s_g = (1 - zeta^g)^(-1).  With u a unit mod n and m = g u mod n,
+    (1 - zeta^m)^(-k) = sigma_u(s_g^k), and since [m] = (1 - zeta^m) /
+    (1 - zeta) the chain weight is zeta^((k-1)m) (1 - zeta)^k sigma_u(s_g^k).
+    Each entry is integer vector operations on the numerator of s_g^k
+    and one reduction, with no field product (`CycloField.conjugates`).
+    The powers are kept per k for both rows.  All cached values are
+    immutable.
 
     The chain DP reads each row it serves lifted to Z[x]/(x^n - 1), once
     (`lift`), and packed at the digit width of an evaluation, keeping the
@@ -163,35 +185,53 @@ class ExactBackend:
         field = self.field = get_field(n)
         self.zero = field.zero
         self.one = field.one
-        # (g, u) for m = 1..n-1: g = gcd(m, n), u a unit with g u = m mod n
-        self._units = []
+        # m = 1..n-1 by g = gcd(m, n): g -> [(m, u)], u a unit with g u = m mod n
+        self._units: dict[int, list] = {}
         for m in range(1, n):
             g = math.gcd(m, n)
-            units = (u for u in range(m // g, n, n // g) if math.gcd(u, n) == 1)
-            self._units.append((g, next(units)))
-        self._seeds = {g: field.inv_one_minus_zeta_pow(g) for g, _ in self._units}
-        self._rows: dict[int, list] = {}
-        self._polylog_rows: dict[int, list] = {1: self._conjugates(self._seeds)}
+            u = next(u for u in range(m // g, n, n // g) if math.gcd(u, n) == 1)
+            self._units.setdefault(g, []).append((m, u))
+        self._powers: dict[int, dict] = {}
+        # (twisted, k) -> the chain weight row (twisted) or polylogarithm row k
+        self._rows: dict[tuple, list] = {}
         self._scales: dict[int, CycloElem] = {}
         # (polylog, k) -> the row lifted, as `lift` returns it
         self._lifts: dict[tuple, tuple] = {}
         # (polylog, k) -> (width, the lifted vectors packed at that width)
         self._packed: dict[tuple, tuple] = {}
 
-    def _conjugates(self, seeds: dict) -> list:
-        """sigma_u(seeds[g]) for the (g, u) of m = 1..n-1."""
-        conjugate = self.field.conjugate
-        return [seeds[g] if u == 1 else conjugate(seeds[g], u) for g, u in self._units]
+    def _seed_powers(self, k: int) -> dict:
+        """s_g^k = (1 - zeta^g)^(-k) for each g = gcd(m, n), kept per k.
+        s_g^k is a polynomial in y = zeta^g over (n/g)^k, laid at the
+        multiples of g and reduced once."""
+        powers = self._powers.get(k)
+        if powers is None:
+            field, n = self.field, self.n
+            powers = self._powers[k] = {}
+            for g in self._units:
+                vec = [0] * n
+                vec[::g] = _inverse_power(n // g, k)
+                powers[g] = _normalized(field, field._reduce(vec), (n // g) ** k)
+        return powers
+
+    def _conjugates(self, k: int, twisted: bool) -> list:
+        """sigma_u(s_g^k) for m = 1..n-1, each times zeta^((k-1)m)
+        (1 - zeta)^k when `twisted`; kept once built."""
+        row = self._rows.get((twisted, k))
+        if row is None:
+            row = [None] * (self.n - 1)
+            twist, power = (k - 1, k) if twisted else (0, 0)
+            for g, s in self._seed_powers(k).items():
+                ms = self._units[g]
+                images = self.field.conjugates(s, [(u, twist * m) for m, u in ms], power)
+                for (m, _), image in zip(ms, images):
+                    row[m - 1] = image
+            self._rows[twisted, k] = row
+        return row
 
     def weight(self, k: int, m: int) -> CycloElem:
         """q^((k-1)m) / [m]^k as a field element, 0 < m < n."""
-        row = self._rows.get(k)
-        if row is None:
-            field = self.field
-            scale = (self.one - field.zeta) ** k
-            row = self._rows[k] = [field.zeta_pow((k - 1) * j) * (scale * x)
-                                   for j, x in enumerate(self.polylog_row(k), 1)]
-        return row[m - 1]
+        return self._conjugates(k, True)[m - 1]
 
     def weight_row(self, k: int):
         """Yields w_k(m) for m = 1..n-1."""
@@ -200,17 +240,13 @@ class ExactBackend:
     def polylog_row(self, k: int) -> list:
         """(1 - zeta^m)^(-k) for m = 1..n-1; each row is built once and
         shared, so callers must not write to it."""
-        row = self._polylog_rows.get(k)
-        if row is None:
-            seeds = {g: x ** k for g, x in self._seeds.items()}
-            row = self._polylog_rows[k] = self._conjugates(seeds)
-        return row
+        return self._conjugates(k, False)
 
     def zbar_scale(self, w: int) -> CycloElem:
         """(1 - zeta)^(-w), the scale of a modified value of weight w, kept
         once built."""
         if w not in self._scales:
-            self._scales[w] = self._seeds[1] ** w
+            self._scales[w] = self._seed_powers(1)[1] ** w
         return self._scales[w]
 
     def running_sums(self, values, inclusive: bool | None):

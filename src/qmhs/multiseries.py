@@ -143,18 +143,6 @@ class MultiSeries:
         return MultiSeries(self.field, self.cap,
                            {e: v * c for e, v in self.coeffs.items()})
 
-    def __pow__(self, e: int) -> "MultiSeries":
-        if e < 0:
-            raise ValueError("negative powers: use invert() first")
-        acc = MultiSeries.constant(1, self.cap, self.field)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return acc
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiSeries)
@@ -182,11 +170,6 @@ class MultiSeries:
         if not self.coeffs:
             return self.cap + 1
         return min(monomial_weight(e) for e in self.coeffs)
-
-    def truncate(self, new_cap: int) -> "MultiSeries":
-        if new_cap > self.cap:
-            raise ValueError("cannot raise the cap of a truncated series")
-        return MultiSeries(self.field, new_cap, self.coeffs)
 
     def invert(self) -> "MultiSeries":
         """Multiplicative inverse up to the cap; the constant term must be

@@ -103,6 +103,33 @@ def test_exact_compute_ceiling_is_inclusive(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("flag,ceiling", [("--n-max", "VERIFY_N_MAX"), ("--cap", "VERIFY_CAP_MAX")])
+def test_verify_above_a_ceiling_is_input_error(capsys, flag, ceiling):
+    """Refused before any field or backend is built."""
+    from qmhs import cli
+    from qmhs.mhs import exact_backend
+
+    value = getattr(cli, ceiling) + 1
+    built = get_field.cache_info().misses, exact_backend.cache_info().misses
+    code, out, err = run_cli(capsys, "verify", "all", flag, str(value))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} {value} is above {value - 1}, the largest `verify` takes\n"
+    assert (get_field.cache_info().misses, exact_backend.cache_info().misses) == built
+
+
+def test_verify_ceilings_are_inclusive(capsys, monkeypatch):
+    from qmhs import cli
+
+    monkeypatch.setattr(cli, "VERIFY_N_MAX", 3)
+    monkeypatch.setattr(cli, "VERIFY_CAP_MAX", 3)
+    code, out, _ = run_cli(capsys, "verify", "thm12", "--n-max", "3", "--cap", "3")
+    assert code == 0 and out.count("[pass]") == 3
+    for argv in (("--n-max", "4", "--cap", "3"), ("--n-max", "3", "--cap", "4")):
+        code, out, _ = run_cli(capsys, "verify", "thm12", *argv)
+        assert code == 2 and out == ""
+
+
 def test_bad_index_is_input_error(capsys):
     code, _, _ = run_cli(capsys, "compute", "--index", "0,1", "--n", "4")
     assert code == 2

@@ -7,6 +7,10 @@ CycloElem add and one multiply per step, level by level, and
 `brute_force`, which enumerates the chains.  The polylogarithms, the
 outermost terms of the same DP, are checked against the former m-major
 recursion in `test_ohno_zagier.py`.
+
+The weight rows the DP reads are twisted Galois conjugates built in
+integer vector operations; their oracle is the former construction, by
+field products from the closed-form inverses of 1 - zeta^m.
 """
 
 import random
@@ -27,6 +31,7 @@ from qmhs.mhs import (
     z,
     z_star,
 )
+from helpers import inv_one_minus_zeta_pow
 
 INDICES = [ix for w in range(1, 6) for r in range(1, w + 1) for ix in enumerate_indices(w, r)]
 LEVELS = [*range(1, 17), 20, 41, 49]
@@ -77,6 +82,47 @@ def test_rows_are_lifted_once_and_packed_at_one_width():
     assert backend.packed_row(2, False, 2) is narrow
     wide = backend.packed_row(2, False, 3)
     assert wide is not narrow and backend.packed_row(2, False, 3) is wide
+
+
+ORACLE_LEVELS = [*range(1, 21), 41, 49, 97]
+
+
+def field_rows(backend, k):
+    """The former route: the polylogarithm row (1 - zeta^m)^(-k) as field
+    powers of the closed-form inverse, and the weight row
+    zeta^((k-1)m) ((1 - zeta)^k (1 - zeta^m)^(-k)), two products more an
+    entry."""
+    field = backend.field
+    polylog = [inv_one_minus_zeta_pow(field, m) ** k for m in range(1, backend.n)]
+    scale = (backend.one - field.zeta) ** k
+    return [field.zeta_pow((k - 1) * m) * (scale * x) for m, x in enumerate(polylog, 1)], polylog
+
+
+@pytest.mark.parametrize("n", ORACLE_LEVELS)
+def test_rows_match_field_products(n):
+    """n = 1 has empty rows, n = 2 degree one, k >= n occurs from n = 9
+    down, and the n that are not prime powers reduce by long division."""
+    backend = ExactBackend(n)
+    for k in range(1, 10):
+        weights, polylog = field_rows(backend, k)
+        assert list(backend.weight_row(k)) == weights, k
+        assert backend.polylog_row(k) == polylog, k
+
+
+@pytest.mark.parametrize("n,k", [(2, 3), (9, 3), (12, 4), (41, 2)])
+def test_a_weight_row_takes_no_field_product(monkeypatch, n, k):
+    """A fresh backend builds a chain-weight row without a CycloElem
+    product and without the polylogarithm row of its k."""
+    backend = ExactBackend(n)
+
+    def refuse(*args):
+        raise AssertionError("not expected while a weight row is built")
+
+    monkeypatch.setattr(CycloElem, "__mul__", refuse)
+    monkeypatch.setattr(ExactBackend, "polylog_row", refuse)
+    row = list(backend.weight_row(k))
+    monkeypatch.undo()
+    assert row == field_rows(backend, k)[0]
 
 
 class _GivenRows(ExactBackend):

@@ -14,6 +14,7 @@ from qmhs.multiseries import (
     ms_substitute,
     x_over_sinh_half_x,
 )
+from helpers import power, truncate
 
 
 def _vars(cap):
@@ -40,7 +41,7 @@ def _random_series(rng, cap, unit=False):
 def test_truncation_basics():
     x, y, z, one = _vars(2)
     assert (one + x) * (one - x) == one - x * x
-    assert not (MultiSeries.variable("x", 2) ** 2) * MultiSeries.variable("x", 2)
+    assert not power(MultiSeries.variable("x", 2), 2) * MultiSeries.variable("x", 2)
     xyz = MultiSeries.variable("x", 4) * MultiSeries.variable("y", 4) * MultiSeries.variable("z", 4)
     assert xyz.coefficient(1, 1, 1) == 1
     assert monomial_weight((1, 1, 1)) == 4
@@ -64,7 +65,7 @@ def test_truncate_commutes_with_multiplication():
     rng = random.Random(37)
     for _ in range(30):
         a, b = _random_series(rng, 8), _random_series(rng, 8)
-        assert (a * b).truncate(5) == a.truncate(5) * b.truncate(5)
+        assert truncate(a * b, 5) == truncate(a, 5) * truncate(b, 5)
 
 
 def test_invert():
@@ -101,7 +102,7 @@ def test_substitute_respects_multiplication():
     y = MultiSeries.variable("y", cap)
     z = MultiSeries.variable("z", cap)
     one = MultiSeries.constant(1, cap)
-    images = (x * (one + x).invert(), y - z * (one + x).invert(), z * ((one + x).invert() ** 2))
+    images = (x * (one + x).invert(), y - z * (one + x).invert(), z * power((one + x).invert(), 2))
     for _ in range(15):
         f, g = _random_series(rng, cap), _random_series(rng, cap)
         lhs = ms_substitute(f * g, *images)
@@ -133,7 +134,7 @@ def test_divide_xy_minus_z():
     z = MultiSeries.variable("z", cap)
     d = x * y - z
     assert ms_divide_xy_minus_z(d) == MultiSeries.constant(1, cap - 2)
-    assert ms_divide_xy_minus_z(d * d) == d.truncate(cap - 2)
+    assert ms_divide_xy_minus_z(d * d) == truncate(d, cap - 2)
     rng = random.Random(47)
     for _ in range(25):
         q = _random_series(rng, cap - 2)
@@ -164,5 +165,5 @@ def test_cosh_even_identity():
     lhs = cosh_half_sqrt(d * d)
     rhs = MultiSeries.zero(cap)
     for m in range(0, cap // 2 + 1):
-        rhs = rhs + (d ** (2 * m)).scale(Fraction(1, 4**m * factorial(2 * m)))
+        rhs = rhs + power(d, 2 * m).scale(Fraction(1, 4**m * factorial(2 * m)))
     assert lhs == rhs

@@ -7,7 +7,7 @@ from qmhs.cli import main as cli_main
 from qmhs.cyclotomic import CycloElem, cyclotomic_polynomial, get_field
 from qmhs.exactnum import Poly
 from qmhs.mhs import Index, _zbar_cached, enumerate_indices, exact_backend, numeric_backend, zbar
-from qmhs import ohno_zagier
+from qmhs import mhs, ohno_zagier
 from qmhs.multiseries import RATIONALS, MultiSeries, ms_substitute, render_series
 from qmhs.ohno_zagier import (
     binomial_quotient,
@@ -27,6 +27,7 @@ from qmhs.ohno_zagier import (
     verify_prop_3_3,
     verify_theorem_1_2,
 )
+from helpers import inv_one_minus_zeta_pow, truncate
 
 
 def test_u_kernel_low_coefficients():
@@ -219,7 +220,7 @@ def m_major_polylog(index, n, star=False):
     r = index.depth
     if r == 0:
         return Poly([1], field)
-    inv = [None] + [field.inv_one_minus_zeta_pow(m) for m in range(1, n)]
+    inv = [None] + [inv_one_minus_zeta_pow(field, m) for m in range(1, n)]
 
     def w(k, m):
         return inv[m] ** k
@@ -255,18 +256,18 @@ def test_polylog_builds_each_weight_row_once(monkeypatch):
     n = 7
     exact_backend.cache_clear()
     calls = []
-    pow_ = CycloElem.__pow__
+    inverse_power = mhs._inverse_power
 
-    def counting_pow(self, e):
-        calls.append(e)
-        return pow_(self, e)
+    def counting(order, k):
+        calls.append((order, k))
+        return inverse_power(order, k)
 
-    monkeypatch.setattr(CycloElem, "__pow__", counting_pow)
+    monkeypatch.setattr(mhs, "_inverse_power", counting)
     first = polylog(Index((2, 1, 3)), n)
-    # one power per proper divisor g of n (g = 1 at n = 7) for each of the
-    # rows k = 2 and k = 3, whose entries are its Galois conjugates; row 1
-    # is the closed-form inverse itself
-    assert sorted(calls) == [2, 3]
+    # one seed power per proper divisor g of n (g = 1 at n = 7, of order
+    # n / g = 7) for each of the rows k = 1, 2 and 3, whose entries are its
+    # Galois conjugates
+    assert sorted(calls) == [(7, 1), (7, 2), (7, 3)]
     calls.clear()
     second = polylog(Index((3, 2, 1, 3)), n, star=True)
     assert calls == []
@@ -406,7 +407,7 @@ def test_zbar_cache_is_bounded():
 def test_f_series_truncated_at_largest_cap_equals_fresh_build(n, star):
     top = f_series.__wrapped__(n, 8, star)
     for cap in range(0, 8):
-        assert top.truncate(cap) == f_series.__wrapped__(n, cap, star), cap
+        assert truncate(top, cap) == f_series.__wrapped__(n, cap, star), cap
 
 
 def test_sumformula_suite_builds_one_series_per_level(monkeypatch, capsys):
