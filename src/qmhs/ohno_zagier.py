@@ -54,9 +54,7 @@ def u_kernel(n: int, cap: int, field=RATIONALS) -> MultiSeries:
     if n < 1:
         raise ValueError("n must be a positive integer")
     pre = binomial_quotient(n, cap, field).invert()
-    xy_minus_z = MultiSeries(
-        field, cap, {(1, 1, 0): field.one, (0, 0, 1): -field.one}
-    )
+    xy_minus_z = MultiSeries(field, cap, {(1, 1, 0): field.one, (0, 0, 1): -field.one})
     power = MultiSeries.constant(1, cap, field)
     total = MultiSeries.zero(cap, field)
     for p in range(min(n - 1, cap // 2) + 1):
@@ -83,11 +81,8 @@ def u_kernel_star(n: int, cap: int) -> MultiSeries:
 
 def flip_yz(s: MultiSeries) -> MultiSeries:
     """Substitute (x, y, z) -> (x, -y, -z) by sign-flipping coefficients."""
-    return MultiSeries(
-        s.field,
-        s.cap,
-        {e: (-c if (e[1] + e[2]) % 2 else c) for e, c in s.coeffs.items()},
-    )
+    return MultiSeries(s.field, s.cap,
+                       {e: (-c if (e[1] + e[2]) % 2 else c) for e, c in s.coeffs.items()})
 
 
 def to_star(s: MultiSeries) -> MultiSeries:
@@ -107,16 +102,12 @@ def f_bruteforce(n: int, cap: int, star: bool = False) -> MultiSeries:
             for s in range(0, r + 1):
                 if k < r + s or (r == 0 and k > 0):
                     continue
-                ex, ey, ez = k - r - s, r - s, s
-                if ex + ey + 2 * ez > cap:
-                    continue
                 value = profile_sum(IndexProfile(k, r, s), n, star)
-                if value:
-                    coeffs[(ex, ey, ez)] = value
+                if value:  # x^(k-r-s) y^(r-s) z^s has weight k <= cap
+                    coeffs[(k - r - s, r - s, s)] = value
     return MultiSeries(RATIONALS, cap, coeffs)
 
 
-@functools.lru_cache(maxsize=16)
 def f_series(n: int, cap: int, star: bool = False) -> MultiSeries:
     """The series of `f_bruteforce`, built as a product over m = 1..n-1.
 
@@ -132,12 +123,18 @@ def f_series(n: int, cap: int, star: bool = False) -> MultiSeries:
 
     Coefficients must come out rational; `to_rational` raises otherwise.
     The cached result is shared between callers; like every MultiSeries,
-    it is treated as immutable.
+    it is treated as immutable; one entry per (n, cap, star), however a
+    call spells them.
     """
+    return _f_series(n, cap, star)
+
+
+@functools.lru_cache(maxsize=16)
+def _f_series(n: int, cap: int, star: bool) -> MultiSeries:
     if n < 1:
         raise ValueError("n must be a positive integer")
     if star:
-        return to_star(f_series(n, cap, False))
+        return to_star(_f_series(n, cap, False))
     field, row_of = get_field(n), exact_backend(n).polylog_row
     parts = [(p, (0, 1, 0) if p == 1 else (p - 2, 0, 1), row_of(p)) for p in range(1, cap + 1)]
     total = MultiSeries.constant(1, cap, field)
@@ -147,6 +144,11 @@ def f_series(n: int, cap: int, star: bool = False) -> MultiSeries:
             factor[mono] = field.zeta_pow((p - 1) * m) * row[m - 1]
         total = total * MultiSeries(field, cap, factor)
     return total.to_rational()
+
+
+# the handles of an lru_cache function, for callers of `f_series`
+f_series.cache_info, f_series.cache_clear = _f_series.cache_info, _f_series.cache_clear
+f_series.__wrapped__ = _f_series.__wrapped__
 
 
 def verify_theorem_1_2(n: int, cap: int) -> VerificationReport:
@@ -199,35 +201,33 @@ def sum_formula_check(n: int, k: int, r: int, k_max: int = 0) -> VerificationRep
 # One-variable generating function at t = 1: product and recurrence routes.
 
 
-def _quad_p(field: CycloField, x_val: CycloElem, cap: int, star: bool) -> MultiSeries:
-    """P(X) = (1-u-X)(1+v-X) + w, or its starred companion
-    (1-u-X)(1-v-X) - w, evaluated at a constant X from the field."""
-    c = field.one - x_val
-    u = MultiSeries.variable("u", cap, field)
-    v = MultiSeries.variable("v", cap, field)
-    w = MultiSeries.variable("w", cap, field)
-    cc = MultiSeries.constant(1, cap, field).scale(c)
-    if star:
-        return (cc - u) * (cc - v) - w
+def _quad_p(field: CycloField, x_val: CycloElem, cap: int) -> MultiSeries:
+    """P(X) = (1-u-X)(1+v-X) + w, evaluated at a constant X from the field."""
+    u, v, w = (MultiSeries.variable(name, cap, field) for name in "uvw")
+    cc = MultiSeries.constant(1, cap, field).scale(field.one - x_val)
     return (cc - u) * (cc + v) + w
 
 
 def phi_product(n: int, cap: int, star: bool = False) -> MultiSeries:
     """Product route: for j = 1..n-1 multiply P(q^j) / ((1-q^j)(1-u-q^j)),
-    inverted for the starred version."""
-    field = get_field(n)
+    or, starred, the inverse of P*(q^j) = (1-u-q^j)(1-v-q^j) - w over it.
+
+    With c = 1 - q^j and s = 1/c the factor is (c+v)/c + w/(c(c-u)) =
+    1 + s v + w sum_(i<=cap-2) s^(i+2) u^i exactly: 1/(c-u) = s/(1-su) is
+    geometric in u and w u^i has weight i + 2.  The starred factor is the
+    inverse of 1 - s v - w sum_i s^(i+2) u^i, so the starred product is the
+    inverse of their product.  s^k is entry j - 1 of the cached
+    polylogarithm row k, (1 - zeta^m)^(-k), so no factor takes a field
+    operation."""
+    field, row_of = get_field(n), exact_backend(n).polylog_row
+    rows = [row_of(k) for k in range(1, max(cap, 1) + 1)]
     total = MultiSeries.constant(1, cap, field)
-    u = MultiSeries.variable("u", cap, field)
-    for j in range(1, n):
-        qj = field.zeta_pow(j)
-        c = field.one - qj
-        num = _quad_p(field, qj, cap, star)
-        den = (MultiSeries.constant(1, cap, field).scale(c) - u).scale(c)
-        factor = num * den.invert()
+    for j in range(n - 1):
+        terms = {(0, 1, 0): rows[0][j], **{(i, 0, 1): rows[i + 1][j] for i in range(cap - 1)}}
         if star:
-            factor = factor.invert()
-        total = total * factor
-    return total
+            terms = {e: -c for e, c in terms.items()}
+        total = total * MultiSeries(field, cap, {(0, 0, 0): field.one, **terms})
+    return total.invert() if star else total
 
 
 def phi_recurrence(n: int, cap: int) -> MultiSeries:
@@ -245,22 +245,17 @@ def phi_recurrence(n: int, cap: int) -> MultiSeries:
 
     c_j = lin(1).invert()
     for j in range(1, n - 1):
-        c_j = _quad_p(field, field.zeta_pow(j), cap, star=False) * c_j * lin(j + 1).invert()
-    return _quad_p(field, field.zeta_pow(n - 1), cap, star=False) * c_j
+        c_j = _quad_p(field, field.zeta_pow(j), cap) * c_j * lin(j + 1).invert()
+    return _quad_p(field, field.zeta_pow(n - 1), cap) * c_j
 
 
 def transform_images(cap: int, field) -> tuple[MultiSeries, MultiSeries, MultiSeries]:
     """The change of variables u = x/(1+x), v = y - z/(1+x),
     w = z/(1+x)^2 as series in (x, y, z)."""
     one = MultiSeries.constant(1, cap, field)
-    x = MultiSeries.variable("x", cap, field)
-    y = MultiSeries.variable("y", cap, field)
-    z = MultiSeries.variable("z", cap, field)
+    x, y, z = (MultiSeries.variable(name, cap, field) for name in "xyz")
     inv1px = (one + x).invert()
-    u = x * inv1px
-    v = y - z * inv1px
-    w = z * inv1px * inv1px
-    return u, v, w
+    return x * inv1px, y - z * inv1px, z * inv1px * inv1px
 
 
 def prop_3_3_rows(n: int, cap: int) -> Iterator[VerificationReport]:
@@ -268,6 +263,9 @@ def prop_3_3_rows(n: int, cap: int) -> Iterator[VerificationReport]:
     change of variables carries the product route onto the brute-force
     generating function with all-rational coefficients.
 
+    Only the product route reads the cached polylogarithm rows; the
+    recurrence route is built from field operations alone (`_quad_p`,
+    series inverses), so `phi-routes` compares two independent routes.
     The product route is rational: an automorphism zeta -> zeta^a with
     gcd(a, n) = 1 permutes its factors j = 1..n-1.  So the substitution
     runs over Q; `to_rational` raises if a coefficient is not rational."""

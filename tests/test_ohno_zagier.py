@@ -135,6 +135,56 @@ def test_phi_star_is_inverse_of_sign_flip():
         assert star == flip_yz(plain).invert(), n
 
 
+def phi_product_factors(n, cap, star=False):
+    """The product route built factor by factor in the field: P(q^j), or
+    P*(q^j) = (1-u-q^j)(1-v-q^j) - w when starred, times the inverted
+    denominator (1-q^j)(1-u-q^j), inverted again when starred.  The oracle
+    for the factors `phi_product` reads from the polylogarithm rows."""
+    field = get_field(n)
+    one = MultiSeries.constant(1, cap, field)
+    u, v, w = (MultiSeries.variable(name, cap, field) for name in "uvw")
+    total = one
+    for j in range(1, n):
+        c = field.one - field.zeta_pow(j)
+        cc = one.scale(c)
+        num = (cc - u) * (cc - v) - w if star else (cc - u) * (cc + v) + w
+        factor = num * (cc - u).scale(c).invert()
+        total = total * (factor.invert() if star else factor)
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_phi_product_matches_factor_oracle(n):
+    # n = 1 runs no factor; cap = 0 still reads polylogarithm row 1
+    for cap in range(0, 9):
+        for star in (False, True):
+            got = phi_product(n, cap, star)
+            assert got == phi_product_factors(n, cap, star), (cap, star)
+            if n == 1 or cap == 0:
+                assert got == MultiSeries.constant(1, cap, get_field(n)), (cap, star)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called where the route must not call it")
+
+
+def test_strict_phi_product_takes_no_inverse_and_no_quadratic(monkeypatch):
+    n, cap = 10, 8
+    expected = phi_product_factors(n, cap)
+    monkeypatch.setattr(MultiSeries, "invert", _refuse)
+    monkeypatch.setattr(ohno_zagier, "_quad_p", _refuse)
+    assert phi_product(n, cap) == expected
+
+
+def test_phi_recurrence_reads_no_polylog_row(monkeypatch):
+    # the phi-routes row compares the product route with a route that
+    # shares none of its inputs
+    n, cap = 10, 8
+    expected = phi_product(n, cap)
+    monkeypatch.setattr(mhs.ExactBackend, "polylog_row", _refuse)
+    assert phi_recurrence(n, cap) == expected
+
+
 def test_phi_substitution_reproduces_generating_function():
     for n in (2, 3, 4):
         reports = verify_prop_3_3(n, 4)
@@ -387,6 +437,15 @@ def test_sum_formula_lhs_matches_per_index_zbar_sum():
 
 def test_f_series_cache_is_bounded():
     assert f_series.cache_info().maxsize is not None
+
+
+def test_f_series_call_forms_share_one_cache_entry():
+    f_series.cache_clear()
+    first = f_series(7, 5)
+    assert f_series(7, 5, False) is first
+    assert f_series(7, 5, star=False) is first
+    info = f_series.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
 
 
 def test_field_caches_are_bounded():
