@@ -2,9 +2,9 @@
 emit tables, and probe the conjectured identities.
 
 Exit codes: 0 all passed, 1 verification failure, 2 invalid input (an
-exact `compute` above `EXACT_N_MAX`, and `verify` above `VERIFY_N_MAX`
-or `VERIFY_CAP_MAX`, included) or a numeric overflow,
-3 output I/O failure, 4 out of memory, 130 interrupted.
+exact `compute` above `EXACT_N_MAX`, `verify` above `VERIFY_N_MAX` or
+`VERIFY_CAP_MAX` and `table` above `TABLE_CEILINGS` included) or a
+numeric overflow, 3 output I/O failure, 4 out of memory, 130 interrupted.
 Each error prints one `error:` line to stderr and no traceback.  Exact
 values are always serialized as strings; JSON numbers cannot carry big
 rationals losslessly.
@@ -46,6 +46,11 @@ EXACT_N_MAX = 1000
 # 39 at cap 8, `thm12 --n-max 14 --cap 12`).
 VERIFY_N_MAX = 100
 VERIFY_CAP_MAX = 16
+
+# The largest value of each `table` range flag; at the others' ceilings `zbar` took 8-10 s,
+# `tildeU` 6-7 s, `depth1` 5-6 s and `kkk` 0.6 s.
+TABLE_CEILINGS = {"--n": EXACT_N_MAX, "--k": 4, "--k-max": 1000, "--n-max": VERIFY_N_MAX,
+                  "--r-max": 8, "--cap": 80}
 
 
 def render_complex(v: complex) -> str:
@@ -132,11 +137,16 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    for flag, value, ceiling in (("--n-max", args.n_max, VERIFY_N_MAX),
-                                 ("--cap", args.cap, VERIFY_CAP_MAX)):
+def _refuse_above(args, ceilings: dict) -> None:
+    for flag, ceiling in ceilings.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None and value > ceiling:
-            raise ValueError(f"{flag} {value} is above {ceiling}, the largest `verify` takes")
+            raise ValueError(f"{flag} {value} is above {ceiling}, "
+                             f"the largest `{args.command}` takes")
+
+
+def cmd_verify(args) -> int:
+    _refuse_above(args, {"--n-max": VERIFY_N_MAX, "--cap": VERIFY_CAP_MAX})
     parallelism = default_parallelism(args.parallelism)
     reports = run_suite(
         args.suite,
@@ -205,6 +215,7 @@ def _table_rows(args) -> tuple[list[str], list[list]]:
 
 
 def cmd_table(args) -> int:
+    _refuse_above(args, TABLE_CEILINGS)
     header, rows = _table_rows(args)
     if args.format == "json":
         text = json.dumps([dict(zip(header, row)) for row in rows], indent=2)

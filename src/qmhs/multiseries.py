@@ -253,11 +253,17 @@ def ms_substitute(f: MultiSeries, u_expr: MultiSeries, v_expr: MultiSeries,
             cache[e] = power(slot, e - 1) * images[slot]
         return cache[e]
 
-    total = MultiSeries.zero(cap, field)
-    for (a, b, c), coeff in f.coeffs.items():
-        term = power(0, a) * power(1, b) * power(2, c)
-        total = total + term.scale(coeff)
-    return total
+    # f = sum_a U^a sum_b V^b (sum_c f_abc W^c): one product per (a, b) and per a
+    in_w: dict = {}
+    for (a, b, c), k in f.coeffs.items():
+        k = field.from_rational(k) if isinstance(k, (int, Fraction)) else k
+        acc = in_w.setdefault(a, {}).setdefault(b, {})
+        for e, v in power(2, c).coeffs.items():
+            acc[e] = acc[e] + v * k if e in acc else v * k
+    zero = MultiSeries.zero(cap, field)
+    return sum((power(0, a) * sum((power(1, b) * MultiSeries(field, cap, acc)
+                                   for b, acc in by_b.items()), zero)
+                for a, by_b in in_w.items()), zero)
 
 
 def ms_divide_xy_minus_z(numerator: MultiSeries) -> MultiSeries:

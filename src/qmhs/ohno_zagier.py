@@ -202,10 +202,10 @@ def sum_formula_check(n: int, k: int, r: int, k_max: int = 0) -> VerificationRep
 
 
 def _quad_p(field: CycloField, x_val: CycloElem, cap: int) -> MultiSeries:
-    """P(X) = (1-u-X)(1+v-X) + w, evaluated at a constant X from the field."""
-    u, v, w = (MultiSeries.variable(name, cap, field) for name in "uvw")
-    cc = MultiSeries.constant(1, cap, field).scale(field.one - x_val)
-    return (cc - u) * (cc + v) + w
+    """P(X) = (1-u-X)(1+v-X) + w = c^2 - cu + cv - uv + w at a constant X, c = 1 - X."""
+    c, one = field.one - x_val, field.one
+    return MultiSeries(field, cap, {(0, 0, 0): c * c, (1, 0, 0): -c, (0, 1, 0): c,
+                                    (1, 1, 0): -one, (0, 0, 1): one})
 
 
 def phi_product(n: int, cap: int, star: bool = False) -> MultiSeries:
@@ -231,21 +231,24 @@ def phi_product(n: int, cap: int, star: bool = False) -> MultiSeries:
 
 
 def phi_recurrence(n: int, cap: int) -> MultiSeries:
-    """Recurrence route: solve (1-q)(1-q-u) c_1 = 1, iterate
-    (1-q^(j+1))(1-u-q^(j+1)) c_(j+1) = P(q^j) c_j, and close with
-    P(q^(n-1)) c_(n-1)."""
+    """Recurrence route: c_1 = G_1, c_(j+1) = (P(q^j) c_j) G_(j+1), closed with
+    P(q^(n-1)) c_(n-1); G_j = 1/((1-q^j)(1-u-q^j)) = s^2 sum_(i<=cap) (s u)^i,
+    s = (1-q^j)^(-1) by `CycloElem` inversion: no series inverse, no polylogarithm
+    row.  c_j (P G) saves a product per step but is slower at n = 41 (wider integers)."""
     if n < 2:
         raise ValueError("the recurrence route needs n >= 2")
     field = get_field(n)
-    u = MultiSeries.variable("u", cap, field)
 
-    def lin(j: int) -> MultiSeries:
-        c = field.one - field.zeta_pow(j)
-        return (MultiSeries.constant(1, cap, field).scale(c) - u).scale(c)
+    def geometric(j: int) -> MultiSeries:
+        s = (field.one - field.zeta_pow(j)).inverse()
+        powers = [s * s]
+        for _ in range(cap):
+            powers.append(powers[-1] * s)
+        return MultiSeries(field, cap, {(i, 0, 0): p for i, p in enumerate(powers)})
 
-    c_j = lin(1).invert()
+    c_j = geometric(1)
     for j in range(1, n - 1):
-        c_j = _quad_p(field, field.zeta_pow(j), cap) * c_j * lin(j + 1).invert()
+        c_j = _quad_p(field, field.zeta_pow(j), cap) * c_j * geometric(j + 1)
     return _quad_p(field, field.zeta_pow(n - 1), cap) * c_j
 
 
@@ -264,11 +267,11 @@ def prop_3_3_rows(n: int, cap: int) -> Iterator[VerificationReport]:
     generating function with all-rational coefficients.
 
     Only the product route reads the cached polylogarithm rows; the
-    recurrence route is built from field operations alone (`_quad_p`,
-    series inverses), so `phi-routes` compares two independent routes.
-    The product route is rational: an automorphism zeta -> zeta^a with
-    gcd(a, n) = 1 permutes its factors j = 1..n-1.  So the substitution
-    runs over Q; `to_rational` raises if a coefficient is not rational."""
+    recurrence route's coefficients come from field operations alone
+    (`_quad_p`, `CycloElem` inverses for G_j), so `phi-routes` compares two
+    independent routes.  The product route is rational: an automorphism
+    zeta -> zeta^a with gcd(a, n) = 1 permutes its factors j = 1..n-1.  So the
+    substitution runs over Q; `to_rational` raises on an irrational coefficient."""
     prod = phi_product(n, cap)
     rec = phi_recurrence(n, cap)
     yield compare("phi-routes", {"n": n, "cap": cap}, prod, rec, render_series)

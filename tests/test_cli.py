@@ -130,6 +130,46 @@ def test_verify_ceilings_are_inclusive(capsys, monkeypatch):
         assert code == 2 and out == ""
 
 
+TABLE_RANGES = [("depth1", "--n"), ("depth1", "--k-max"), ("kkk", "--k"), ("kkk", "--n-max"),
+                ("kkk", "--r-max"), ("zbar", "--k"), ("zbar", "--n-max"), ("zbar", "--r-max"),
+                ("tildeU", "--cap")]
+
+
+@pytest.mark.parametrize("kind,flag", TABLE_RANGES)
+def test_table_above_a_ceiling_is_input_error(capsys, kind, flag):
+    """Refused before any field or backend is built."""
+    from qmhs import cli
+    from qmhs.mhs import exact_backend
+
+    value = cli.TABLE_CEILINGS[flag] + 1
+    built = get_field.cache_info().misses, exact_backend.cache_info().misses
+    code, out, err = run_cli(capsys, "table", kind, flag, str(value))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} {value} is above {value - 1}, the largest `table` takes\n"
+    assert (get_field.cache_info().misses, exact_backend.cache_info().misses) == built
+
+
+def test_table_ceilings_cover_every_range_flag():
+    from qmhs import cli
+
+    assert set(cli.TABLE_CEILINGS) == {flag for _, flag in TABLE_RANGES}
+    assert cli.TABLE_CEILINGS["--n-max"] == cli.VERIFY_N_MAX
+
+
+def test_table_ceilings_are_inclusive(capsys, monkeypatch):
+    from qmhs import cli
+
+    for flag in ("--k", "--n-max", "--r-max"):
+        monkeypatch.setitem(cli.TABLE_CEILINGS, flag, 3)
+    code, out, _ = run_cli(capsys, "table", "zbar", "--k", "3", "--n-max", "3", "--r-max", "3",
+                           "--format", "json")
+    assert code == 0 and len(json.loads(out)) == 9
+    for flag in ("--k", "--n-max", "--r-max"):
+        code, out, _ = run_cli(capsys, "table", "zbar", flag, "4")
+        assert code == 2 and out == ""
+
+
 def test_bad_index_is_input_error(capsys):
     code, _, _ = run_cli(capsys, "compute", "--index", "0,1", "--n", "4")
     assert code == 2

@@ -14,7 +14,7 @@ from qmhs.multiseries import (
     ms_substitute,
     x_over_sinh_half_x,
 )
-from helpers import power, truncate
+from helpers import power, substitute_by_monomials, truncate
 
 
 def _vars(cap):
@@ -108,6 +108,33 @@ def test_substitute_respects_multiplication():
         lhs = ms_substitute(f * g, *images)
         rhs = ms_substitute(f, *images) * ms_substitute(g, *images)
         assert lhs == rhs
+
+
+def test_substitution_takes_one_product_per_a_and_per_a_b(monkeypatch):
+    rng = random.Random(19)
+    cap = 6
+    x, y, z, one = _vars(cap)
+    inv = (one + x).invert()
+    images = (x * inv, y - z * inv, z * inv * inv)
+    fs = [_random_series(rng, cap) for _ in range(5)]
+    fs.append(fs[0] * fs[1] * fs[2])  # many monomials share an (a, b)
+    expected = [substitute_by_monomials(f, *images) for f in fs]
+    calls = []
+    real_mul = MultiSeries.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(MultiSeries, "__mul__", counting_mul)
+    for f, want in zip(fs, expected):
+        calls.clear()
+        assert ms_substitute(f, *images) == want
+        exps = list(f.coeffs)
+        # the power caches take one product per power above the zeroth
+        cached = sum(max((e[i] for e in exps), default=0) for i in range(3))
+        bound = len({a for a, _, _ in exps}) + len({(a, b) for a, b, _ in exps}) + cached
+        assert len(calls) <= bound, (len(calls), bound)
 
 
 def test_substitute_rejects_constant_term():

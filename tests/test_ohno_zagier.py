@@ -27,7 +27,7 @@ from qmhs.ohno_zagier import (
     verify_prop_3_3,
     verify_theorem_1_2,
 )
-from helpers import inv_one_minus_zeta_pow, truncate
+from helpers import inv_one_minus_zeta_pow, phi_recurrence_by_inverses, truncate
 
 
 def test_u_kernel_low_coefficients():
@@ -181,6 +181,20 @@ def test_phi_recurrence_reads_no_polylog_row(monkeypatch):
     # shares none of its inputs
     n, cap = 10, 8
     expected = phi_product(n, cap)
+    monkeypatch.setattr(mhs.ExactBackend, "polylog_row", _refuse)
+    assert phi_recurrence(n, cap) == expected
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_phi_recurrence_matches_inverse_oracle(n):
+    for cap in range(0, 9):
+        assert phi_recurrence(n, cap) == phi_recurrence_by_inverses(n, cap), cap
+
+
+def test_phi_recurrence_takes_no_series_inverse_and_reads_no_row(monkeypatch):
+    n, cap = 10, 8
+    expected = phi_recurrence_by_inverses(n, cap)
+    monkeypatch.setattr(MultiSeries, "invert", _refuse)
     monkeypatch.setattr(mhs.ExactBackend, "polylog_row", _refuse)
     assert phi_recurrence(n, cap) == expected
 

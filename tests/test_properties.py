@@ -12,6 +12,7 @@ from qmhs.cyclotomic import CycloElem, get_field, parse_cyclo, render_cyclo
 from qmhs.exactnum import Poly
 from qmhs.mhs import Index, brute_force, z, z_star
 from qmhs.multiseries import RATIONALS, MultiSeries, monomial_weight, ms_substitute
+from helpers import substitute_by_monomials
 
 FIELD_NS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15)
 
@@ -167,6 +168,18 @@ def test_substitution_is_a_ring_homomorphism(fe, cap, data):
     assert sub(f * g) == sub(f) * sub(g)
     assert sub(f + g) == sub(f) + sub(g)
     assert sub(MultiSeries.constant(1, cap, field)) == MultiSeries.constant(1, cap, field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_fields(), st.integers(0, SERIES_CAP), st.data())
+def test_grouped_substitution_matches_per_monomial_oracle(fe, cap, data):
+    field, elems = fe
+    f, g = (series(data.draw, field, elems, cap) for _ in range(2))
+    u, v, w = (series(data.draw, field, elems, cap, min_weight=wt) for wt in (1, 1, 2))
+    constant = MultiSeries.constant(1, cap, field).scale(data.draw(elems))
+    # f * g has more monomials sharing an (a, b) than a drawn series
+    for h in (f, f * g, MultiSeries.zero(cap, field), constant):
+        assert ms_substitute(h, u, v, w) == substitute_by_monomials(h, u, v, w)
 
 
 def _newton_oracle(roots: list[Poly], m_max: int, xmax: int):
