@@ -2,9 +2,9 @@
 emit tables, and probe the conjectured identities.
 
 Exit codes: 0 all passed, 1 verification failure, 2 invalid input (an
-exact `compute` above `EXACT_N_MAX`, `verify` above `VERIFY_N_MAX` or
-`VERIFY_CAP_MAX` and `table` above `TABLE_CEILINGS` included) or a
-numeric overflow, 3 output I/O failure, 4 out of memory, 130 interrupted.
+exact `compute` above `EXACT_N_MAX`, `verify`, `conjecture` and `table`
+above their ceilings included) or a numeric overflow, 3 output I/O
+failure, 4 out of memory, 130 interrupted.
 Each error prints one `error:` line to stderr and no traceback.  Exact
 values are always serialized as strings; JSON numbers cannot carry big
 rationals losslessly.
@@ -38,14 +38,24 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 # 94 MB, growing as n^2 in memory and faster in time.
 EXACT_N_MAX = 1000
 
-# The largest `--n-max` and `--cap` that `verify` takes.  A suite's cost
-# grows polynomially in n and, through the 2^cap indices of `polylog`,
-# exponentially in cap: `thm11 --n-max 100` took 10 s, `thm12 --n-max 64
-# --cap 8` 5 s and `polylog --n-max 8 --cap 12` 11 s.  Both sit above
-# every default (n <= 20, cap <= 8) and every documented range (levels to
-# 39 at cap 8, `thm12 --n-max 14 --cap 12`).
+# The largest `--n-max`, `--cap` and `--k-max` that `verify` takes.  A
+# suite's cost grows polynomially in n: `thm11 --n-max 100` took 10 s,
+# `thm12 --n-max 64 --cap 8` 5 s.  `polylog` takes 2^cap indices per level,
+# so it and `all` stop at the default cap 4: `--n-max 100` took 46 s at cap
+# 4, 111 s at cap 5 and 224 s at cap 6.  `--k-max` is the series cap of
+# `sumformula` and stops at thm11's default 12: `sumformula --n-max 100
+# --k-max 12` took 138 s.  Each sits at or above every default (n <= 20,
+# cap <= 8, k_max <= 12) and every documented range (levels to 39 at cap 8,
+# `thm12 --n-max 14 --cap 12`).
 VERIFY_N_MAX = 100
 VERIFY_CAP_MAX = 16
+POLYLOG_CAP_MAX = 4
+VERIFY_K_MAX = 12
+
+# The largest `--ab-max` that `conjecture` takes (its `--n-max` stops at
+# VERIFY_N_MAX): at `--n-max 100 --ab-max 6`, family 2 took 30 s and family 1
+# 22 s.  Family 2's a, b <= 3 probes need a + b up to 6.
+CONJECTURE_AB_MAX = 6
 
 # The largest value of each `table` range flag; at the others' ceilings `zbar` took 8-10 s,
 # `tildeU` 6-7 s, `depth1` 5-6 s and `kkk` 0.6 s.
@@ -146,7 +156,8 @@ def _refuse_above(args, ceilings: dict) -> None:
 
 
 def cmd_verify(args) -> int:
-    _refuse_above(args, {"--n-max": VERIFY_N_MAX, "--cap": VERIFY_CAP_MAX})
+    cap_max = POLYLOG_CAP_MAX if args.suite in ("polylog", "all") else VERIFY_CAP_MAX
+    _refuse_above(args, {"--n-max": VERIFY_N_MAX, "--cap": cap_max, "--k-max": VERIFY_K_MAX})
     parallelism = default_parallelism(args.parallelism)
     reports = run_suite(
         args.suite,
@@ -162,14 +173,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    reports = []
-    for n in range(2, args.n_max + 1):
-        for total in range(0, args.ab_max + 1):
-            for a in range(0, total + 1):
-                b = total - a
-                if a + b + 1 >= n:
-                    continue
-                reports.append(conjecture_check(args.family, n, a, b))
+    _refuse_above(args, {"--n-max": VERIFY_N_MAX, "--ab-max": CONJECTURE_AB_MAX})
+    reports = [conjecture_check(args.family, n, a, total - a)
+               for n in range(2, args.n_max + 1)
+               for total in range(min(args.ab_max, n - 2) + 1)  # a + b + 1 < n
+               for a in range(total + 1)]
     _write_output(_format_reports(reports, args.format), args.output)
     return EXIT_OK
 

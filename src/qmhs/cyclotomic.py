@@ -586,7 +586,7 @@ def q_integer(m: int, field: CycloField) -> CycloElem:
     return acc
 
 
-def render_cyclo(a: CycloElem, symbol: str = "z") -> str:
+def render_cyclo(a: CycloElem) -> str:
     """Exact string form: a polynomial in the root, highest degree first."""
     coeffs = a.coeffs
     terms = []
@@ -597,7 +597,7 @@ def render_cyclo(a: CycloElem, symbol: str = "z") -> str:
         if j == 0:
             body = str(c)
         else:
-            var = symbol if j == 1 else f"{symbol}^{j}"
+            var = "z" if j == 1 else f"z^{j}"
             if c == 1:
                 body = var
             elif c == -1:
@@ -613,7 +613,7 @@ def render_cyclo(a: CycloElem, symbol: str = "z") -> str:
     return out
 
 
-def parse_cyclo(text: str, field: CycloField, symbol: str = "z") -> CycloElem:
+def parse_cyclo(text: str, field: CycloField) -> CycloElem:
     """Parse the output of render_cyclo back into a field element."""
     s = text.replace(" ", "")
     if s in ("0", ""):
@@ -623,8 +623,8 @@ def parse_cyclo(text: str, field: CycloField, symbol: str = "z") -> CycloElem:
     for term in s.split("+"):
         if not term:
             continue
-        if symbol in term:
-            head, _, tail = term.partition(symbol)
+        if "z" in term:
+            head, _, tail = term.partition("z")
             exp = int(tail[1:]) if tail.startswith("^") else 1
             if head in ("", "+"):
                 coeff = ONE

@@ -100,10 +100,9 @@ class IndexProfile:
     height: int
 
 
-def enumerate_indices(weight: int, depth: int, height: int | None = None,
-                      admissible: bool = False):
+def enumerate_indices(weight: int, depth: int, height: int | None = None):
     """All compositions of `weight` into `depth` positive parts, optionally
-    filtered by height and by admissibility (first part >= 2).
+    filtered by height.
 
     Deterministic order: first part descending, then recursively the same.
     |I(k, r)| = C(k-1, r-1).
@@ -123,14 +122,11 @@ def enumerate_indices(weight: int, depth: int, height: int | None = None,
         rec(weight, depth, ())
     if height is not None:
         out = [ix for ix in out if ix.height == height]
-    if admissible:
-        out = [ix for ix in out if ix.admissible]
     return out
 
 
-def enumerate_profile(profile: IndexProfile, admissible: bool = False):
-    return enumerate_indices(profile.weight, profile.depth, profile.height,
-                             admissible)
+def enumerate_profile(profile: IndexProfile):
+    return enumerate_indices(profile.weight, profile.depth, profile.height)
 
 
 class Lift(NamedTuple):
@@ -454,22 +450,22 @@ def numeric_backend(n: int) -> NumericBackend:
     return NumericBackend(n)
 
 
-def _outer_terms(parts: tuple, ring, star: bool, weight_row) -> list:
+def _outer_terms(parts: tuple, ring, star: bool) -> list:
     """The chain DP, one level at a time, up to the outermost level.
 
     The innermost level r is the weight row w_(k_r)(1..n-1).  Every level
     j < r multiplies w_(k_j)(m) by the running sum of the level below,
     taken below m for strict chains (exclusive) or up to m for non-strict
     chains (inclusive).  Returns the terms w_(k_1)(m) * S_2(m) of level 1
-    for m = 1..n-1 as a new list, with `weight_row(k)` giving an iterable
-    over each row.  Each level is one pass of `ring.running_sums` that
-    writes the weighted sums over the row below, so an evaluation holds
+    for m = 1..n-1 as a new list, with `ring.weight_row(k)` giving an
+    iterable over each row.  Each level is one pass of `ring.running_sums`
+    that writes the weighted sums over the row below, so an evaluation holds
     one row of partial sums at a time.  `ring` is the numeric backend
     itself, or an exact evaluation's `PackedChain`.
     """
-    terms = list(weight_row(parts[-1]))
+    terms = list(ring.weight_row(parts[-1]))
     for k in reversed(parts[:-1]):
-        ring.running_sums(terms, star, weight_row(k))
+        ring.running_sums(terms, star, ring.weight_row(k))
     return terms
 
 
@@ -481,7 +477,7 @@ def _evaluate(index: Index, n: int, backend, star: bool):
     if n < 1:
         raise ValueError("n must be a positive integer")
     ring = backend.ring(index.parts)
-    terms = _outer_terms(index.parts, ring, star, ring.weight_row)
+    terms = _outer_terms(index.parts, ring, star)
     return ring.running_sums(terms, None)
 
 

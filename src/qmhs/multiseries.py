@@ -11,15 +11,17 @@ field's `integer_form` brings each operand over one denominator to
 integers: numerators over Q, Kronecker-packed vectors over Q(zeta_n)
 with digits for pairs * `CycloField._terms` * max|a| * max|b|, since at
 most pairs = min(|A|, |B|) products meet in an output.  Each output sum
-is converted back once; a sum zero modulo Phi_n is dropped.  Operands
-of one or two terms, and inverse layers of single products, stay in the
-field: so few products cost less than a pack and an unpack.
+is converted back once; a sum zero modulo Phi_n is dropped.  When
+pairs <= 2, an operand of one or two terms in a product or an inverse
+layer, the sums are taken in the field: so few products cost less than a
+pack and an unpack.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from operator import itemgetter
 
 # RationalField is re-exported: the tracer in perfbench/spans.py reads it here
 from .exactnum import RATIONALS, RationalField  # noqa: F401
@@ -32,19 +34,26 @@ def monomial_weight(exps: tuple[int, int, int]) -> int:
 
 
 def _by_weight(coeffs: dict) -> list:
-    """(weight, exponents, coefficient) per monomial, in weight order."""
-    return sorted([(a + b + 2 * c, (a, b, c), v) for (a, b, c), v in coeffs.items()])
+    """(weight, exponents, coefficient) per monomial, in weight order; the
+    order within a weight is immaterial, as every sum is exact."""
+    return sorted([(e[0] + e[1] + 2 * e[2], e, v) for e, v in coeffs.items()], key=itemgetter(0))
 
 
 def _sum_products(field, left: list, right: list, spans: list) -> dict:
     """Sums of coefficient products of `left` and `right` terms by the sum
     of their exponents, left[i] meeting right[lo:hi] for (lo, hi) = spans[i].
-    For one output and one left term at most one right term matches."""
+    For one output and one left term at most one right term matches.  A
+    sum taken in the field may be zero; an integer sum zero modulo Phi_n
+    is dropped."""
     pairs = min(len(left), len(right))
-    if pairs <= 1:
-        # every sum is one product, as in each layer of a binomial's inverse
-        return {(a + a2, b + b2, c + c2): x * y for (_, (a, b, c), x), (lo, hi) in zip(left, spans)
-                for _, (a2, b2, c2), y in right[lo:hi]}
+    if pairs <= 2:
+        # so few products meet in an output that a pack and an unpack cost more
+        out: dict = {}
+        for (_, (a, b, c), x), (lo, hi) in zip(left, spans):
+            for _, (a2, b2, c2), y in right[lo:hi]:
+                k = (a + a2, b + b2, c + c2)
+                out[k] = out[k] + x * y if k in out else x * y
+        return out
     xs, ys, back = field.integer_form([c for _, _, c in left], [c for _, _, c in right], pairs)
     exps = [e for _, e, _ in right]
     acc: dict = {}
@@ -121,16 +130,6 @@ class MultiSeries:
         short, long = self.coeffs, other.coeffs
         if len(short) > len(long):
             short, long = long, short
-        if len(short) <= 2:
-            # one or two terms: the few products are taken in the field
-            out: dict = {}
-            for (a, b, c), v in short.items():
-                top = cap - a - b - 2 * c
-                for (a2, b2, c2), v2 in long.items():
-                    if a2 + b2 + 2 * c2 <= top:
-                        e = (a + a2, b + b2, c + c2)
-                        out[e] = out[e] + v * v2 if e in out else v * v2
-            return MultiSeries(field, cap, out)
         left, right = _by_weight(short), _by_weight(long)
         # right is in weight order: a term of weight w meets a prefix of it
         weights = [w for w, _, _ in right]
@@ -188,7 +187,7 @@ class MultiSeries:
             use = [t for t in left if t[0] <= w]
             spans = [(starts[w - j], starts[w - j + 1]) for j, _, _ in use]
             sums = _sum_products(field, use, right, spans)
-            right += [(w, k, c) for k, c in sums.items()]
+            right += [(w, k, c) for k, c in sums.items() if c]
             starts.append(len(right))
         return MultiSeries(field, cap, {e: c for _, e, c in right})
 
@@ -208,16 +207,12 @@ class MultiSeries:
         return render_series(self)
 
 
-def render_series(s: MultiSeries, names: str = "xyz") -> str:
+def render_series(s: MultiSeries) -> str:
     if not s.coeffs:
         return "0"
     parts = []
     for e in sorted(s.coeffs, key=lambda e: (monomial_weight(e), e)):
-        mono = "*".join(
-            f"{names[i]}^{e[i]}" if e[i] > 1 else names[i]
-            for i in range(3)
-            if e[i]
-        )
+        mono = "*".join(f"{v}^{k}" if k > 1 else v for v, k in zip("xyz", e) if k)
         c = s.coeffs[e]
         parts.append(f"{c}" if not mono else f"{c}*{mono}")
     return " + ".join(parts)
@@ -315,26 +310,22 @@ def ms_divide_xy_minus_z(numerator: MultiSeries) -> MultiSeries:
     return MultiSeries(field, cap - 2, out)
 
 
-def exp_half_y(cap: int, field=RATIONALS) -> MultiSeries:
+def exp_half_y(cap: int) -> MultiSeries:
     """exp(y/2) truncated at the cap."""
     from math import factorial
 
-    coeffs = {
-        (0, m, 0): field.from_rational(Fraction(1, 2**m * factorial(m)))
-        for m in range(cap + 1)
-    }
-    return MultiSeries(field, cap, coeffs)
+    coeffs = {(0, m, 0): Fraction(1, 2**m * factorial(m)) for m in range(cap + 1)}
+    return MultiSeries(RATIONALS, cap, coeffs)
 
 
-def x_over_sinh_half_x(cap: int, field=RATIONALS) -> MultiSeries:
+def x_over_sinh_half_x(cap: int) -> MultiSeries:
     """x / sinh(x/2) = 2 * (sum_m (x/2)^(2m) / (2m+1)!)^(-1)."""
     from math import factorial
 
     body = {
-        (2 * m, 0, 0): field.from_rational(Fraction(1, 4**m * factorial(2 * m + 1)))
-        for m in range(cap // 2 + 1)
+        (2 * m, 0, 0): Fraction(1, 4**m * factorial(2 * m + 1)) for m in range(cap // 2 + 1)
     }
-    return MultiSeries(field, cap, body).invert().scale(2)
+    return MultiSeries(RATIONALS, cap, body).invert().scale(2)
 
 
 def cosh_half_sqrt(w_expr: MultiSeries) -> MultiSeries:

@@ -32,15 +32,14 @@ from .multiseries import RATIONALS, MultiSeries, ms_substitute, render_series
 from .report import FAIL, PASS, VerificationReport, compare
 
 
-def binomial_quotient(n: int, cap: int, field=RATIONALS) -> MultiSeries:
+def binomial_quotient(n: int, cap: int) -> MultiSeries:
     """g(x) = ((1+x)^n - 1) / x = sum_{j=1..n} C(n, j) x^(j-1), truncated."""
-    return MultiSeries(field, cap, {
-        (j - 1, 0, 0): field.from_rational(comb(n, j))
-        for j in range(1, min(n, cap + 1) + 1)
+    return MultiSeries(RATIONALS, cap, {
+        (j - 1, 0, 0): Fraction(comb(n, j)) for j in range(1, min(n, cap + 1) + 1)
     })
 
 
-def u_kernel(n: int, cap: int, field=RATIONALS) -> MultiSeries:
+def u_kernel(n: int, cap: int) -> MultiSeries:
     """The closed-form generating series in (x, y, z) at level n.
 
     x/((1+x)^n - 1) times the double binomial sum over a, b >= 0 with
@@ -53,10 +52,10 @@ def u_kernel(n: int, cap: int, field=RATIONALS) -> MultiSeries:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    pre = binomial_quotient(n, cap, field).invert()
-    xy_minus_z = MultiSeries(field, cap, {(1, 1, 0): field.one, (0, 0, 1): -field.one})
-    power = MultiSeries.constant(1, cap, field)
-    total = MultiSeries.zero(cap, field)
+    pre = binomial_quotient(n, cap).invert()
+    xy_minus_z = MultiSeries(RATIONALS, cap, {(1, 1, 0): Fraction(1), (0, 0, 1): Fraction(-1)})
+    power = MultiSeries.constant(1, cap)
+    total = MultiSeries.zero(cap)
     for p in range(min(n - 1, cap // 2) + 1):
         top = cap - 2 * p
         sums: dict = {}
@@ -67,16 +66,10 @@ def u_kernel(n: int, cap: int, field=RATIONALS) -> MultiSeries:
                 wi = w * comb(a, i)
                 for j in range(min(b, top - i) + 1):
                     sums[i, j] = sums.get((i, j), 0) + wi * comb(b, j)
-        row = {(i, j, 0): field.from_rational(Fraction(c, p + 1))
-               for (i, j), c in sums.items()}
-        total = total + power * MultiSeries(field, cap, row)
+        row = {(i, j, 0): Fraction(c, p + 1) for (i, j), c in sums.items()}
+        total = total + power * MultiSeries(RATIONALS, cap, row)
         power = power * xy_minus_z
     return pre * total
-
-
-def u_kernel_star(n: int, cap: int) -> MultiSeries:
-    """Kernel for the non-strict sums: `to_star` of the kernel."""
-    return to_star(u_kernel(n, cap))
 
 
 def flip_yz(s: MultiSeries) -> MultiSeries:
@@ -113,13 +106,13 @@ def f_series(n: int, cap: int, star: bool = False) -> MultiSeries:
 
     A part p at chain position m contributes w^_p(m) * mono(p), where
     w^_p(m) = q^((p-1)m) (1 - q^m)^(-p) is the chain weight with the
-    (1 - q)^(-p) of the modified value cancelled, mono(1) = y and
-    mono(p) = x^(p-2) z; the monomial weight of mono(p) is p.  With
-    g_m = sum_(p<=cap) w^_p(m) mono(p), strict chains give
-    F = prod_m (1 + g_m), one series product per m.  Non-strict chains give
-    prod_m (1 - g_m)^(-1) = to_star(F) exactly, since each mono(p) carries
-    one y or one z; it is taken over Q from the cached F, so the only
-    independent check of the non-strict sums is `f_bruteforce(star=True)`.
+    (1 - q)^(-p) of the modified value cancelled: the twisted
+    `_row_product`.  With g_m = sum_(p<=cap) w^_p(m) mono(p), strict chains
+    give F = prod_m (1 + g_m), one series product per m.  Non-strict chains
+    give prod_m (1 - g_m)^(-1) = to_star(F) exactly, since each mono(p)
+    carries one y or one z; it is taken over Q from the cached F, so the
+    only independent check of the non-strict sums is
+    `f_bruteforce(star=True)`.
 
     Coefficients must come out rational; `to_rational` raises otherwise.
     The cached result is shared between callers; like every MultiSeries,
@@ -135,20 +128,27 @@ def _f_series(n: int, cap: int, star: bool) -> MultiSeries:
         raise ValueError("n must be a positive integer")
     if star:
         return to_star(_f_series(n, cap, False))
+    return _row_product(n, cap, True).to_rational()
+
+
+# the handles of an lru_cache function, for callers of `f_series`
+f_series.cache_info, f_series.cache_clear = _f_series.cache_info, _f_series.cache_clear
+f_series.__wrapped__ = _f_series.__wrapped__
+
+
+def _row_product(n: int, cap: int, twisted: bool) -> MultiSeries:
+    """prod_(m=1..n-1) (1 + sum_(p<=cap) c_p(m) mono(p)) over Q(zeta_n), where
+    mono(1) = y, mono(p) = x^(p-2) z (weight p) and c_p(m) = (1 - q^m)^(-p) is
+    entry m - 1 of the cached polylogarithm row p, times q^((p-1)m) if twisted."""
     field, row_of = get_field(n), exact_backend(n).polylog_row
     parts = [(p, (0, 1, 0) if p == 1 else (p - 2, 0, 1), row_of(p)) for p in range(1, cap + 1)]
     total = MultiSeries.constant(1, cap, field)
     for m in range(1, n):
         factor = {(0, 0, 0): field.one}
         for p, mono, row in parts:
-            factor[mono] = field.zeta_pow((p - 1) * m) * row[m - 1]
+            factor[mono] = field.zeta_pow((p - 1) * m) * row[m - 1] if twisted else row[m - 1]
         total = total * MultiSeries(field, cap, factor)
-    return total.to_rational()
-
-
-# the handles of an lru_cache function, for callers of `f_series`
-f_series.cache_info, f_series.cache_clear = _f_series.cache_info, _f_series.cache_clear
-f_series.__wrapped__ = _f_series.__wrapped__
+    return total
 
 
 def verify_theorem_1_2(n: int, cap: int) -> VerificationReport:
@@ -208,26 +208,17 @@ def _quad_p(field: CycloField, x_val: CycloElem, cap: int) -> MultiSeries:
                                     (1, 1, 0): -one, (0, 0, 1): one})
 
 
-def phi_product(n: int, cap: int, star: bool = False) -> MultiSeries:
-    """Product route: for j = 1..n-1 multiply P(q^j) / ((1-q^j)(1-u-q^j)),
-    or, starred, the inverse of P*(q^j) = (1-u-q^j)(1-v-q^j) - w over it.
+def phi_product(n: int, cap: int) -> MultiSeries:
+    """Product route: for j = 1..n-1 multiply P(q^j) / ((1-q^j)(1-u-q^j)).
 
     With c = 1 - q^j and s = 1/c the factor is (c+v)/c + w/(c(c-u)) =
     1 + s v + w sum_(i<=cap-2) s^(i+2) u^i exactly: 1/(c-u) = s/(1-su) is
-    geometric in u and w u^i has weight i + 2.  The starred factor is the
-    inverse of 1 - s v - w sum_i s^(i+2) u^i, so the starred product is the
-    inverse of their product.  s^k is entry j - 1 of the cached
-    polylogarithm row k, (1 - zeta^m)^(-k), so no factor takes a field
-    operation."""
-    field, row_of = get_field(n), exact_backend(n).polylog_row
-    rows = [row_of(k) for k in range(1, max(cap, 1) + 1)]
-    total = MultiSeries.constant(1, cap, field)
-    for j in range(n - 1):
-        terms = {(0, 1, 0): rows[0][j], **{(i, 0, 1): rows[i + 1][j] for i in range(cap - 1)}}
-        if star:
-            terms = {e: -c for e, c in terms.items()}
-        total = total * MultiSeries(field, cap, {(0, 0, 0): field.one, **terms})
-    return total.invert() if star else total
+    geometric in u and w u^i has weight i + 2.  That is the factor of the
+    untwisted `_row_product`, s^k being (1 - zeta^j)^(-k), so no factor takes
+    a field operation.  The starred product, of the inverses of
+    P*(q^j) = (1-u-q^j)(1-v-q^j) - w over the same denominators, is
+    `to_star` of this one: every factor term carries one v or one w."""
+    return _row_product(n, cap, False)
 
 
 def phi_recurrence(n: int, cap: int) -> MultiSeries:
@@ -266,7 +257,9 @@ def prop_3_3_rows(n: int, cap: int) -> Iterator[VerificationReport]:
     change of variables carries the product route onto the brute-force
     generating function with all-rational coefficients.
 
-    Only the product route reads the cached polylogarithm rows; the
+    The product route is the untwisted `_row_product` and its target
+    `f_series` the twisted one, taken to Q, so the substitution checks the
+    twist.  Only the product route reads the cached polylogarithm rows; the
     recurrence route's coefficients come from field operations alone
     (`_quad_p`, `CycloElem` inverses for G_j), so `phi-routes` compares two
     independent routes.  The product route is rational: an automorphism
@@ -312,7 +305,7 @@ def polylog(index: Index, n: int, star: bool = False) -> Poly:
     if index.depth == 1:  # no level to run: the terms are the row itself
         return Poly([backend.zero, *backend.polylog_row(index.parts[0])], backend.field)
     ring = backend.ring(index.parts, polylog=True)
-    terms = _outer_terms(index.parts, ring, star, ring.weight_row)
+    terms = _outer_terms(index.parts, ring, star)
     return Poly([backend.zero, *ring.elements(terms)], backend.field)
 
 

@@ -103,15 +103,22 @@ def test_exact_compute_ceiling_is_inclusive(capsys, monkeypatch):
     assert code == 0
 
 
-@pytest.mark.parametrize("flag,ceiling", [("--n-max", "VERIFY_N_MAX"), ("--cap", "VERIFY_CAP_MAX")])
-def test_verify_above_a_ceiling_is_input_error(capsys, flag, ceiling):
-    """Refused before any field or backend is built."""
+@pytest.mark.parametrize("suite,flag,ceiling", [
+    pytest.param("all", "--n-max", "VERIFY_N_MAX", id="--n-max-VERIFY_N_MAX"),
+    pytest.param("thm12", "--cap", "VERIFY_CAP_MAX", id="--cap-VERIFY_CAP_MAX"),
+    pytest.param("all", "--k-max", "VERIFY_K_MAX", id="--k-max-VERIFY_K_MAX"),
+    pytest.param("polylog", "--cap", "POLYLOG_CAP_MAX", id="polylog---cap-POLYLOG_CAP_MAX"),
+    pytest.param("all", "--cap", "POLYLOG_CAP_MAX", id="all---cap-POLYLOG_CAP_MAX"),
+])
+def test_verify_above_a_ceiling_is_input_error(capsys, suite, flag, ceiling):
+    """Refused before any field or backend is built.  The `polylog` cap
+    ceiling, below `VERIFY_CAP_MAX`, also holds for `all`."""
     from qmhs import cli
     from qmhs.mhs import exact_backend
 
     value = getattr(cli, ceiling) + 1
     built = get_field.cache_info().misses, exact_backend.cache_info().misses
-    code, out, err = run_cli(capsys, "verify", "all", flag, str(value))
+    code, out, err = run_cli(capsys, "verify", suite, flag, str(value))
     assert code == 2
     assert out == ""
     assert err == f"error: {flag} {value} is above {value - 1}, the largest `verify` takes\n"
@@ -123,10 +130,49 @@ def test_verify_ceilings_are_inclusive(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "VERIFY_N_MAX", 3)
     monkeypatch.setattr(cli, "VERIFY_CAP_MAX", 3)
+    monkeypatch.setattr(cli, "POLYLOG_CAP_MAX", 2)
+    monkeypatch.setattr(cli, "VERIFY_K_MAX", 3)
     code, out, _ = run_cli(capsys, "verify", "thm12", "--n-max", "3", "--cap", "3")
     assert code == 0 and out.count("[pass]") == 3
-    for argv in (("--n-max", "4", "--cap", "3"), ("--n-max", "3", "--cap", "4")):
-        code, out, _ = run_cli(capsys, "verify", "thm12", *argv)
+    code, out, _ = run_cli(capsys, "verify", "polylog", "--n-max", "3", "--cap", "2")
+    assert code == 0 and "[fail]" not in out and out.count("[pass]") > 0
+    code, out, _ = run_cli(capsys, "verify", "sumformula", "--n-max", "3", "--k-max", "3")
+    assert code == 0 and "[fail]" not in out and out.count("[pass]") > 0
+    for suite, argv in (("thm12", ("--n-max", "4", "--cap", "3")),
+                        ("thm12", ("--n-max", "3", "--cap", "4")),
+                        ("polylog", ("--n-max", "3", "--cap", "3")),
+                        ("all", ("--n-max", "3", "--cap", "3")),
+                        ("sumformula", ("--n-max", "3", "--k-max", "4"))):
+        code, out, _ = run_cli(capsys, "verify", suite, *argv)
+        assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("flag,ceiling", [("--n-max", "VERIFY_N_MAX"), ("--ab-max", "CONJECTURE_AB_MAX")])
+def test_conjecture_above_a_ceiling_is_input_error(capsys, flag, ceiling):
+    """Refused before any field or backend is built."""
+    from qmhs import cli
+    from qmhs.mhs import exact_backend
+
+    value = getattr(cli, ceiling) + 1
+    built = get_field.cache_info().misses, exact_backend.cache_info().misses
+    code, out, err = run_cli(capsys, "conjecture", "1", flag, str(value))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} {value} is above {value - 1}, the largest `conjecture` takes\n"
+    assert (get_field.cache_info().misses, exact_backend.cache_info().misses) == built
+
+
+def test_conjecture_ceilings_are_inclusive(capsys, monkeypatch):
+    from qmhs import cli
+
+    monkeypatch.setattr(cli, "VERIFY_N_MAX", 4)
+    monkeypatch.setattr(cli, "CONJECTURE_AB_MAX", 1)
+    code, out, _ = run_cli(capsys, "conjecture", "1", "--n-max", "4", "--ab-max", "1",
+                           "--format", "json")
+    # a + b <= min(1, n - 2): one instance at n = 2, three at n = 3 and at n = 4
+    assert code == 0 and len(json.loads(out)) == 7
+    for argv in (("--n-max", "5", "--ab-max", "1"), ("--n-max", "4", "--ab-max", "2")):
+        code, out, _ = run_cli(capsys, "conjecture", "1", *argv)
         assert code == 2 and out == ""
 
 

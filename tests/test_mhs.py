@@ -51,8 +51,7 @@ def test_enumerate_counts_and_order():
 
 
 def test_enumerate_admissible_and_profile():
-    adm = enumerate_indices(4, 2, admissible=True)
-    assert all(ix.parts[0] >= 2 for ix in adm)
+    adm = [ix for ix in enumerate_indices(4, 2) if ix.admissible]
     assert [ix.parts for ix in adm] == [(3, 1), (2, 2)]
     prof = IndexProfile(4, 2, 1)
     assert {ix.parts for ix in enumerate_profile(prof)} == {(3, 1), (1, 3)}
