@@ -23,7 +23,7 @@ from .closedforms import conjecture_check, depth_one_bar, kkk_general
 from .cyclotomic import render_cyclo
 from .mhs import Index, zbar, zbar_star, z, z_star
 from .report import FAIL, REPORT_ONLY, VerificationReport
-from .suites import SUITES, default_parallelism, run_suite
+from .suites import POLYLOG_CAP_MAX, SUITES, default_parallelism, run_suite
 from .xi import tilde_u, z_numeric
 
 EXIT_OK = 0
@@ -40,16 +40,14 @@ EXACT_N_MAX = 1000
 
 # The largest `--n-max`, `--cap` and `--k-max` that `verify` takes.  A
 # suite's cost grows polynomially in n: `thm11 --n-max 100` took 10 s,
-# `thm12 --n-max 64 --cap 8` 5 s.  `polylog` takes 2^cap indices per level,
-# so it and `all` stop at the default cap 4: `--n-max 100` took 46 s at cap
-# 4, 111 s at cap 5 and 224 s at cap 6.  `--k-max` is the series cap of
-# `sumformula` and stops at thm11's default 12: `sumformula --n-max 100
-# --k-max 12` took 138 s.  Each sits at or above every default (n <= 20,
-# cap <= 8, k_max <= 12) and every documented range (levels to 39 at cap 8,
-# `thm12 --n-max 14 --cap 12`).
+# `thm12 --n-max 64 --cap 8` 5 s.  `polylog` stops at
+# `suites.POLYLOG_CAP_MAX`, and `all` runs its polylog rows at no more.
+# `--k-max` is the series cap of `sumformula` and stops at thm11's default
+# 12: `sumformula --n-max 100 --k-max 12` took 138 s.  Each sits at or above
+# every default (n <= 20, cap <= 8, k_max <= 12) and every documented range
+# (levels to 39 at cap 8, `thm12 --n-max 14 --cap 12`).
 VERIFY_N_MAX = 100
 VERIFY_CAP_MAX = 16
-POLYLOG_CAP_MAX = 4
 VERIFY_K_MAX = 12
 
 # The largest `--ab-max` that `conjecture` takes (its `--n-max` stops at
@@ -156,7 +154,7 @@ def _refuse_above(args, ceilings: dict) -> None:
 
 
 def cmd_verify(args) -> int:
-    cap_max = POLYLOG_CAP_MAX if args.suite in ("polylog", "all") else VERIFY_CAP_MAX
+    cap_max = POLYLOG_CAP_MAX if args.suite == "polylog" else VERIFY_CAP_MAX
     _refuse_above(args, {"--n-max": VERIFY_N_MAX, "--cap": cap_max, "--k-max": VERIFY_K_MAX})
     parallelism = default_parallelism(args.parallelism)
     reports = run_suite(

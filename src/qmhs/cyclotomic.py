@@ -11,9 +11,10 @@ vectors are packed into one integer each, multiplied once, and unpacked
 (D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symbolic Comput. 2009).  Digits are 1, 2, 4 or 8 bytes
 wide when the product allows, so `array` converts a vector in one call.
-For n a power of a prime p the modulus is 1 + x^s + ... + x^((p-1)s),
-s = n/p, and the product is reduced inside the packed integer.  A
-product with a rational or c*zeta^j operand is a shift and a scaling.
+The product is folded with x^n = 1 inside the packed integer, so its
+digits need only hold d = deg(phi) entry products each, and is reduced
+once, by `CycloField._reduce`, the one reduction modulo phi.  A product
+with a rational or c*zeta^j operand is a shift and a scaling.
 
 The Galois action zeta -> zeta^u (u prime to n) permutes coefficients
 before one reduction: x -> x^u is an automorphism of Z[x]/(x^n - 1)
@@ -68,12 +69,6 @@ def _offsets(width: int, count: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
-@functools.lru_cache(maxsize=256)
-def _blocks(width: int, block: int, count: int) -> int:
-    """sum of X^(block * j) for j < count, X = 2^(8 * width)."""
-    return int.from_bytes((b"\x01" + bytes(width * block - 1)) * count, "little")
-
-
 def _pack(vec, width: int) -> int:
     """sum of vec[i] X^i, X = 2^(8 * width), for |vec[i]| < X / 2: the
     entries are laid down as two's-complement digits, flipping the top
@@ -85,19 +80,14 @@ def _pack(vec, width: int) -> int:
     return (int.from_bytes(raw, "little") ^ shift) - shift
 
 
-def _unpack(value: int, width: int, count: int, period: int,
-            block: int = 0) -> list[int]:
+def _unpack(value: int, width: int, count: int, period: int) -> list[int]:
     """The vector sum c_i x^i folded with x^period = 1, from value =
-    sum c_i X^i over i < count < 2 * period, X = 2^(8 * width).  With
-    `block` s > 0 the folded vector is then reduced with
-    x^(period-s) = -(1 + x^s + ... + x^(period-2s)): the digits from
-    period - s up come off every block of s below them.
+    sum c_i X^i over i < count < 2 * period, X = 2^(8 * width).
 
-    Every c_i, every folded sum c_i + c_(i+period) and every reduced
-    coefficient must be below X / 2 in size.  Shifted by X / 2, the
-    coefficients are digits; folding adds the digits above X^period to
-    those below and takes one shift off; flipping the top bit of each
-    digit then gives c_i in two's complement.
+    Every c_i and every folded sum c_i + c_(i+period) must be below X / 2
+    in size.  Shifted by X / 2, the coefficients are digits; folding adds
+    the digits above X^period to those below and takes one shift off;
+    flipping the top bit of each digit then gives c_i in two's complement.
     """
     shift = _offsets(width, count)
     value += shift
@@ -107,14 +97,6 @@ def _unpack(value: int, width: int, count: int, period: int,
         value = (value & low) + (value >> cut) - (shift >> cut)
         shift &= low
         count = period
-    degree = period - block
-    if block and count > degree:
-        cut = degree * 8 * width
-        low = (1 << cut) - 1
-        top = (value >> cut) - (shift >> cut)
-        value = (value & low) - top * _blocks(width, block, degree // block)
-        shift &= low
-        count = degree
     raw = (value ^ shift).to_bytes(width * count, "little")
     fmt = _FORMATS.get(width)
     if fmt:
@@ -221,11 +203,11 @@ class CycloField:
             (i, int(c)) for i, c in enumerate(self.phi.coeffs[:d]) if c
         )
         # s = n/p when n is a power of its least prime p (then phi(n) = n - s),
-        # else 0.  A reduced product coefficient sums at most `_terms`
-        # products a_i b_j: d after folding, 2d - s after the block step.
+        # else 0.  A product is folded with x^n = 1 in the packed integer,
+        # whose digits hold d products a_i b_j each, and reduced once by
+        # `_reduce`, which for s > 0 takes the top block off each block below.
         p = next((q for q in range(2, n + 1) if n % q == 0), 1)
         self._block = n // p if d == n - n // p else 0
-        self._terms = 2 * d - self._block if self._block else d
         self.zero = _elem(self, (0,) * d, 1)
         # zeta^j reduced, for exponents mod n
         zpows = []
@@ -260,17 +242,17 @@ class CycloField:
     def integer_form(self, left: list, right: list, pairs: int):
         """As `exactnum.RationalField.integer_form`: each list over one
         denominator, each numerator vector packed at one width that holds a
-        reduced coefficient of a sum, `pairs` * `_terms` entry products."""
+        folded coefficient of a sum, `pairs` * d entry products."""
         da, va = _common_denominator(left)
         db, vb = _common_denominator(right)
         ha, hb = (max(map(abs, chain.from_iterable(v))) for v in (va, vb))
-        width = (self._terms * pairs * ha * hb).bit_length() // 8 + 1
+        width = (self.degree * pairs * ha * hb).bit_length() // 8 + 1
         if width <= 8:
             width = 1 << (width - 1).bit_length()  # as in CycloElem.__mul__
-        den, count, n, block = da * db, 2 * self.degree - 1, self.n, self._block
+        den, count, n = da * db, 2 * self.degree - 1, self.n
 
         def back(total: int) -> "CycloElem":
-            return _normalized(self, self._reduce(_unpack(total, width, count, n, block)), den)
+            return _normalized(self, self._reduce(_unpack(total, width, count, n)), den)
 
         return [_pack(v, width) for v in va], [_pack(v, width) for v in vb], back
 
@@ -467,14 +449,14 @@ class CycloElem:
             return other._times(self)
         if a.count(0) >= d - 1:
             return self._times(other)
-        # A reduced product coefficient sums at most field._terms products
-        # a_i b_j, so it is below that many times max|a| max|b|.
-        bound = field._terms * max(max(a), -min(a)) * max(max(b), -min(b))
+        # A product coefficient folded with x^n = 1 sums at most d products
+        # a_i b_j (one j per i), so it is below d max|a| max|b|.
+        bound = d * max(max(a), -min(a)) * max(max(b), -min(b))
         width = (bound.bit_length() + 8) // 8
         if width <= 8:
             width = 1 << (width - 1).bit_length()  # one array call per vector
         product = _pack(a, width) * _pack(b, width)
-        vec = _unpack(product, width, 2 * d - 1, field.n, field._block)
+        vec = _unpack(product, width, 2 * d - 1, field.n)
         return _normalized(field, field._reduce(vec), self.den * other.den)
 
     def _times(self, other: "CycloElem") -> "CycloElem":

@@ -245,19 +245,11 @@ class ExactBackend:
             self._scales[w] = self._seed_powers(1)[1] ** w
         return self._scales[w]
 
-    def running_sums(self, values, inclusive: bool | None):
-        """Running sums of the list of field elements `values` through each
-        position (inclusive) or before it (exclusive), written over
-        `values`; returns the total.  With `inclusive` None only the total
-        is taken."""
-        total = self.zero
-        if inclusive is None:
-            return sum(values, total)
-        for i, v in enumerate(values):
-            new = total + v
-            values[i] = new if inclusive else total
-            total = new
-        return total
+    def running_sums(self, values, inclusive: None) -> CycloElem:
+        """The total of the field elements `values`, with nothing written,
+        as the other rings give it for `inclusive` None; the chain DP takes
+        its running sums on `PackedChain`."""
+        return sum(values, self.zero)
 
     def lift(self, k: int, polylog: bool = False) -> "Lift":
         """Row k of the weights, or of the polylogarithm weights, lifted

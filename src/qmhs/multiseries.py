@@ -9,9 +9,10 @@ Coefficients live in an abstract field with the protocol of
 Products and inverses sum coefficient products as integers.  The
 field's `integer_form` brings each operand over one denominator to
 integers: numerators over Q, Kronecker-packed vectors over Q(zeta_n)
-with digits for pairs * `CycloField._terms` * max|a| * max|b|, since at
-most pairs = min(|A|, |B|) products meet in an output.  Each output sum
-is converted back once; a sum zero modulo Phi_n is dropped.  When
+with digits for pairs * d * max|a| * max|b|, d = deg(Phi_n): at most
+pairs = min(|A|, |B|) products meet in an output, folded with x^n = 1
+in the packed integer and reduced by `CycloField._reduce`.  Each output
+sum is converted back once; a sum zero modulo Phi_n is dropped.  When
 pairs <= 2, an operand of one or two terms in a product or an inverse
 layer, the sums are taken in the field: so few products cost less than a
 pack and an unpack.

@@ -318,7 +318,7 @@ def lemma_3_2_rows(n: int, weight_cap: int) -> Iterator[VerificationReport]:
     geom = Poly([field.one] * (n - 1), field)  # (1 - t^(n-1)) / (1 - t)
     seen: dict = {}
 
-    def pl(index: Index, star: bool = False) -> Poly:
+    def pl(index: Index, star: bool) -> Poly:
         key = (index.parts, star)
         if key not in seen:
             seen[key] = polylog(index, n, star)
@@ -330,43 +330,24 @@ def lemma_3_2_rows(n: int, weight_cap: int) -> Iterator[VerificationReport]:
     for k in range(1, weight_cap + 1):
         for r in range(1, k + 1):
             for ix in enumerate_indices(k, r):
-                rest = Index(ix.parts[1:])
-                # strict version
-                lhs = dq(pl(ix))
-                if ix.parts[0] >= 2:
-                    lowered = Index((ix.parts[0] - 1,) + ix.parts[1:])
-                    rhs = pl(lowered).div_t_exact()
-                else:
-                    lr = pl(rest)
-                    num = lr - Poly.monomial(n - 1, lr.at_one(), field)
-                    rhs = num.div_one_minus_t_exact()
-                yield compare(
-                    "polylog-dq",
-                    {"n": n, "index": str(ix), "star": False},
-                    lhs,
-                    rhs,
-                    render,
-                )
-                # non-strict version; note the non-strict middle case carries
-                # t^n, not t^(n-1): the partial sums telescope one step further
-                # because m_2 = m_1 is allowed
-                lhs = dq(pl(ix, star=True))
-                if ix.parts[0] >= 2:
-                    lowered = Index((ix.parts[0] - 1,) + ix.parts[1:])
-                    rhs = pl(lowered, star=True).div_t_exact()
-                elif r >= 2:
-                    lr = pl(rest, star=True)
-                    num = lr - Poly.monomial(n, lr.at_one(), field)
-                    rhs = num.div_one_minus_t_exact().div_t_exact()
-                else:
-                    rhs = geom
-                yield compare(
-                    "polylog-dq",
-                    {"n": n, "index": str(ix), "star": True},
-                    lhs,
-                    rhs,
-                    render,
-                )
+                for star in (False, True):
+                    lhs = dq(pl(ix, star))
+                    if ix.parts[0] >= 2:
+                        lowered = Index((ix.parts[0] - 1,) + ix.parts[1:])
+                        rhs = pl(lowered, star).div_t_exact()
+                    elif star and r == 1:
+                        rhs = geom
+                    else:
+                        # the non-strict case carries t^n, not t^(n-1): the
+                        # partial sums telescope one step further because
+                        # m_2 = m_1 is allowed
+                        lr = pl(Index(ix.parts[1:]), star)
+                        num = lr - Poly.monomial(n - 1 + star, lr.at_one(), field)
+                        rhs = num.div_one_minus_t_exact()
+                        if star:
+                            rhs = rhs.div_t_exact()
+                    yield compare("polylog-dq", {"n": n, "index": str(ix), "star": star},
+                                  lhs, rhs, render)
 
 
 def verify_lemma_3_2(n: int, weight_cap: int) -> list[VerificationReport]:

@@ -108,11 +108,11 @@ def test_exact_compute_ceiling_is_inclusive(capsys, monkeypatch):
     pytest.param("thm12", "--cap", "VERIFY_CAP_MAX", id="--cap-VERIFY_CAP_MAX"),
     pytest.param("all", "--k-max", "VERIFY_K_MAX", id="--k-max-VERIFY_K_MAX"),
     pytest.param("polylog", "--cap", "POLYLOG_CAP_MAX", id="polylog---cap-POLYLOG_CAP_MAX"),
-    pytest.param("all", "--cap", "POLYLOG_CAP_MAX", id="all---cap-POLYLOG_CAP_MAX"),
+    pytest.param("all", "--cap", "VERIFY_CAP_MAX", id="all---cap-VERIFY_CAP_MAX"),
 ])
 def test_verify_above_a_ceiling_is_input_error(capsys, suite, flag, ceiling):
-    """Refused before any field or backend is built.  The `polylog` cap
-    ceiling, below `VERIFY_CAP_MAX`, also holds for `all`."""
+    """Refused before any field or backend is built.  `all` takes the cap
+    ceiling of the other suites, not the lower one of `polylog`."""
     from qmhs import cli
     from qmhs.mhs import exact_backend
 
@@ -141,10 +141,28 @@ def test_verify_ceilings_are_inclusive(capsys, monkeypatch):
     for suite, argv in (("thm12", ("--n-max", "4", "--cap", "3")),
                         ("thm12", ("--n-max", "3", "--cap", "4")),
                         ("polylog", ("--n-max", "3", "--cap", "3")),
-                        ("all", ("--n-max", "3", "--cap", "3")),
+                        ("all", ("--n-max", "3", "--cap", "4")),
                         ("sumformula", ("--n-max", "3", "--k-max", "4"))):
         code, out, _ = run_cli(capsys, "verify", suite, *argv)
         assert code == 2 and out == ""
+
+
+def test_verify_all_above_the_polylog_cap_runs_polylog_at_its_ceiling(capsys):
+    """`all --cap 6` gives every other suite's rows at cap 6 and the
+    polylog rows at `POLYLOG_CAP_MAX`, in the order of the suites."""
+    from qmhs.suites import POLYLOG_CAP_MAX, SUITES
+
+    def rows(*argv):
+        code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
+        assert code == 0
+        return [{k: v for k, v in r.items() if k != "micros"} for r in json.loads(out)]
+
+    assert POLYLOG_CAP_MAX == 4
+    expected = []
+    for suite in SUITES[:-1]:
+        expected += rows(suite, "--cap", str(POLYLOG_CAP_MAX if suite == "polylog" else 6))
+    assert rows("phi", "--cap", "6") != rows("phi")  # the cap reaches the other suites
+    assert rows("all", "--cap", "6") == expected
 
 
 @pytest.mark.parametrize("flag,ceiling", [("--n-max", "VERIFY_N_MAX"), ("--ab-max", "CONJECTURE_AB_MAX")])

@@ -12,8 +12,8 @@ the inverse (conjugates over the norm) with the extended-gcd route of
 Property tests drive the packing and unpacking around the one Kronecker
 product at every width a product may need, on fields whose products
 fold with x^n = 1 (n = 9, 41, 49, 97) and on fields whose products do
-not, and on prime powers, whose products are reduced in the packed
-integer.
+not.  Digits are sized for the d products a folded coefficient sums at
+any n, the prime powers among them (9, 41, 49, 97, 128) included.
 """
 
 import functools
@@ -155,14 +155,14 @@ def _needed_width(terms, a, b):
 @st.composite
 def _operands_needing_width(draw):
     """(n, width, a, b): integer vectors whose product bound needs `width`
-    bytes.  max|a| * max|b| * terms (the products a reduced coefficient
-    may sum: the degree d, or 2d - n/p at a power of a prime p) sits in
-    the upper half of the range of that width, each vector holds its
-    maximum with a random sign, and the other entries are zero, extreme
-    or anywhere in between."""
+    bytes.  max|a| * max|b| * terms (the products a coefficient folded
+    with x^n = 1 may sum: the degree d) sits in the upper half of the
+    range of that width, each vector holds its maximum with a random
+    sign, and the other entries are zero, extreme or anywhere in
+    between."""
     n = draw(st.sampled_from(KERNEL_NS))
     field = get_field(n)
-    d, terms = field.degree, field._terms
+    d = terms = field.degree
     # the widths the bound can reach: all-ones operands already need terms
     width = draw(st.sampled_from([w for w in PRODUCT_WIDTHS if terms <= 1 << (8 * w - 2)]))
     top = draw(st.integers(1 << (8 * width - 2), (1 << (8 * width - 1)) - 1))
@@ -181,7 +181,7 @@ def _operands_needing_width(draw):
 def test_mul_matches_schoolbook_at_every_product_width(case):
     n, width, a, b = case
     field = get_field(n)
-    assert _needed_width(field._terms, a, b) == width
+    assert _needed_width(field.degree, a, b) == width
     got = CycloElem(field, a) * CycloElem(field, b)
     assert got.coeffs == schoolbook_mul(field, a, b, _table(n))
 
@@ -252,24 +252,17 @@ def test_backend_inverse_q_integers(n):
 
 
 def test_packed_digit_bound_counts_every_product():
-    """The multiply sizes its digits by terms * max|a| * max|b|.  At a
-    prime power the packed integer ends holding the reduced coefficients,
-    so terms must cover the products a_i b_j (i, j < d) on one of them,
-    counted by reducing x^(i+j) through `Poly.divmod` with signs dropped;
-    elsewhere it holds the coefficients folded with x^n = 1."""
-    for n in (1, 2, 3, 4, 8, 9, 12, 25, 27, 30, 49):
-        field = get_field(n)
-        d = field.degree
-        if field._block:
-            rows = [[abs(c) for c in _divmod_vector(field, Poly.monomial(e))]
-                    for e in range(2 * d - 1)]
-        else:
-            rows = [[int(e % n == k) for k in range(n)] for e in range(2 * d - 1)]
-        most = max(sum(rows[i + j][k] for i in range(d) for j in range(d))
-                   for k in range(len(rows[0])))
-        assert most <= field._terms, n
-        if field._block:
-            assert most == field._terms, n
+    """The multiply sizes its digits by d * max|a| * max|b|: the packed
+    integer ends holding the product folded with x^n = 1, so d must cover
+    the products a_i b_j (i, j < d) that land on one residue modulo n,
+    and x^(d-1) alone takes d of them."""
+    for n in (1, 2, 3, 4, 8, 9, 12, 25, 27, 30, 49, 97):
+        d = get_field(n).degree
+        counts = [0] * n
+        for i in range(d):
+            for j in range(d):
+                counts[(i + j) % n] += 1
+        assert max(counts) == d, n
 
 
 def _divmod_vector(field, poly):

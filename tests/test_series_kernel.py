@@ -84,14 +84,14 @@ def width_for(bound: int) -> int:
 
 
 def expected_width(a: MultiSeries, b: MultiSeries) -> int:
-    """The width the bound _terms * pairs * max|a| * max|b| selects, with
+    """The width the bound d * pairs * max|a| * max|b| selects, with
     the heights taken over each operand's common denominator."""
     def height(s):
         den = math.lcm(*(c.den for c in s.coeffs.values()))
         return max(abs(x) * (den // c.den) for c in s.coeffs.values() for x in c.num)
 
     pairs = min(len(a.coeffs), len(b.coeffs))
-    return width_for(a.field._terms * pairs * height(a) * height(b))
+    return width_for(a.field.degree * pairs * height(a) * height(b))
 
 
 def kernel_product(a: MultiSeries, b: MultiSeries) -> tuple[MultiSeries, set]:
@@ -140,13 +140,13 @@ def test_cyclotomic_product_matches_schoolbook(pair):
 
 @st.composite
 def banded_pair(draw):
-    """Two integer-coefficient series whose bound, _terms * pairs * hA * hB,
+    """Two integer-coefficient series whose bound, d * pairs * hA * hB,
     lands in a drawn width band, each with an entry of size exactly its
     height; returns the band's width and the pair."""
     field = get_field(draw(st.sampled_from(KERNEL_NS)))
     cap = draw(st.integers(2, CAP_MAX))
     monos = [draw(monomial_sets(cap, min_size=3)) for _ in range(2)]
-    base = field._terms * min(map(len, monos))
+    base = field.degree * min(map(len, monos))
     reachable = [w for w, (lo, hi) in BANDS.items() if base < 2 ** (hi + 1)]
     width = draw(st.sampled_from(reachable))
     lo, hi = BANDS[width]
@@ -179,12 +179,12 @@ def test_product_takes_the_width_its_bound_selects(case):
 
 @pytest.mark.parametrize("n, h, wide", [(1, 11, 2), (2, 11, 2), (9, 3, 2)])
 def test_pair_count_alone_widens_the_digits(n, h, wide):
-    """_terms * h^2 fits one byte, 3 * _terms * h^2 does not: the three
+    """d * h^2 fits one byte, 3 * d * h^2 does not: the three
     products h * h that meet at x^2 need the wider digit.  At n = 1 and 2
     their sum 3 h^2 = 363 reads as 107 in one signed byte."""
     field = get_field(n)
     c = field.from_rational(h)
-    assert width_for(field._terms * h * h) == 1
+    assert width_for(field.degree * h * h) == 1
     s = MultiSeries(field, 4, {(0, 0, 0): c, (1, 0, 0): c, (2, 0, 0): c})
     product, widths = kernel_product(s, s)
     assert widths == {wide}
