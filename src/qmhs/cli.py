@@ -2,9 +2,9 @@
 emit tables, and probe the conjectured identities.
 
 Exit codes: 0 all passed, 1 verification failure, 2 invalid input (an
-exact `compute` above `EXACT_N_MAX`, `verify`, `conjecture` and `table`
-above their ceilings included) or a numeric overflow, 3 output I/O
-failure, 4 out of memory, 130 interrupted.
+exact `compute` above `EXACT_N_MAX`, a numeric one above `NUMERIC_N_MAX`,
+`verify`, `conjecture` and `table` above their ceilings included) or a
+numeric overflow, 3 output I/O failure, 4 out of memory, 130 interrupted.
 Each error prints one `error:` line to stderr and no traceback.  Exact
 values are always serialized as strings; JSON numbers cannot carry big
 rationals losslessly.
@@ -37,6 +37,10 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 # holds about n^2 integers: at n = 769, z of (3, 2, 1) took 2.1 s and
 # 94 MB, growing as n^2 in memory and faster in time.
 EXACT_N_MAX = 1000
+
+# The largest level `compute` evaluates in double precision.  The numeric
+# backend holds about 120 bytes a level: --n 2^22 took 8.6 s and 498 MB.
+NUMERIC_N_MAX = 2**22
 
 # The largest `--n-max`, `--cap` and `--k-max` that `verify` takes.  A
 # suite's cost grows polynomially in n: `thm11 --n-max 100` took 10 s,
@@ -128,6 +132,9 @@ def cmd_compute(args) -> int:
     if args.backend == "numeric":
         if args.modified:
             raise ValueError("modified values are exact; use the exact backend")
+        if args.n > NUMERIC_N_MAX:
+            raise ValueError(f"--n {args.n} is above {NUMERIC_N_MAX}, the largest level "
+                             "of the numeric backend")
         fn = z_star if args.star else z
         from .mhs import numeric_backend
 

@@ -3,9 +3,10 @@
 Three routes are implemented: the explicit formulas for k = 1, 2, 3, the
 depth-one generating series for all k, and a general-k construction that
 reaches the symmetric functions of an inexplicit root system through
-Newton's identities on the power sums of its k roots over Q[X], with no
-determinant and no bivariate arithmetic.  A report-only checker probes the
-two conjectural palindromic-insertion identities.
+Newton's identities on the power sums of its k roots, series in X over Q
+truncated at a degree bound, with no determinant and no bivariate
+arithmetic.  A report-only checker probes the two conjectural
+palindromic-insertion identities.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from fractions import Fraction
 from math import comb
 
 from .cyclotomic import get_field, render_cyclo
-from .exactnum import ONE, ZERO, Poly, binomial
+from .exactnum import ONE, binomial
 from .mhs import Index, z as mhs_z
+from .multiseries import MultiSeries
 from .ohno_zagier import binomial_quotient
 from .report import REPORT_ONLY, VerificationReport
 
@@ -88,59 +90,52 @@ class Poly2:
         return " + ".join(parts)
 
 
-def _truncated_product(a: Poly, b: Poly, xmax: int) -> Poly:
-    """a * b over Q without the powers of X above xmax: only the
-    coefficient products a_i b_j with i + j <= xmax are taken."""
-    out = [ZERO] * (xmax + 1)
-    for i, ca in enumerate(a.coeffs[: xmax + 1]):
-        if ca:
-            for j, cb in enumerate(b.coeffs[: xmax + 1 - i]):
-                out[i + j] += ca * cb
-    return Poly(out)
-
-
-def _power_sums(e: list[Poly], m_max: int, xmax: int) -> list[Poly]:
+def _power_sums(e: list[MultiSeries], m_max: int) -> list[MultiSeries]:
     """Power sums P_0..P_m_max of the roots whose elementary symmetric
     functions are e[0] = 1, e[1], ..., e[k], by Newton's identities
 
         P_m = sum_{0<i<m} (-1)^(i-1) e_i P_(m-i) + (-1)^(m-1) m e_m,
 
-    with e_i = 0 for i > k, truncated at X^xmax after every step."""
+    with e_i = 0 for i > k.  The e_i are series in X = x, truncated at
+    their cap after every step."""
     k = len(e) - 1
-    p = [Poly([k])]
+    cap = e[0].cap
+    p = [MultiSeries.constant(k, cap)]
     for m in range(1, m_max + 1):
-        acc = e[m].scale((-1) ** (m - 1) * m) if m <= k else Poly()
+        acc = e[m].scale((-1) ** (m - 1) * m) if m <= k else MultiSeries.zero(cap)
         for i in range(1, min(k, m - 1) + 1):
-            term = _truncated_product(e[i], p[m - i], xmax)
+            term = e[i] * p[m - i]
             acc = acc + term if i % 2 else acc - term
-        p.append(Poly(acc.coeffs[: xmax + 1]))
+        p.append(acc)
     return p
 
 
-def _elementary(p: list[Poly], j_max: int, xmax: int) -> list[Poly]:
+def _elementary(p: list[MultiSeries], j_max: int) -> list[MultiSeries]:
     """Elementary symmetric functions e_0..e_j_max from the power sums
-    p[1], ..., p[j_max] (p[0] is not read), by Newton's identities
+    p[1], ..., p[j_max] (p[0] gives only the cap), by Newton's identities
 
         e_j = (1/j) sum_{0<i<=j} (-1)^(i-1) e_(j-i) P_i,
 
-    truncated at X^xmax after every step.  The truncations lose nothing
-    below X^(xmax+1), because the only divisions are by integers."""
-    e = [Poly([1])]
+    truncated at the cap after every step.  The truncations lose nothing
+    below it, because the only divisions are by integers."""
+    cap = p[0].cap
+    e = [MultiSeries.constant(1, cap)]
     for j in range(1, j_max + 1):
-        acc = Poly()
+        acc = MultiSeries.zero(cap)
         for i in range(1, j + 1):
-            term = _truncated_product(e[j - i], p[i], xmax)
+            term = e[j - i] * p[i]
             acc = acc + term if i % 2 else acc - term
         e.append(acc.scale(Fraction(1, j)))
     return e
 
 
-def _root_power_sums(k: int, m_max: int, xmax: int) -> list[Poly]:
-    """Power sums P_0..P_m_max of the k roots alpha_i of the monic form
-    of (1-Y)^k + Y^(k-1) X: e_1 = k + (-1)^(k-1) X, e_i = C(k, i) for
-    i >= 2.  P[::d] are the power sums of the alpha_i^d."""
-    e = [Poly([1]), Poly([k, (-1) ** (k - 1)])] + [Poly([comb(k, i)]) for i in range(2, k + 1)]
-    return _power_sums(e, m_max, xmax)
+def _root_power_sums(k: int, m_max: int, xmax: int) -> list[MultiSeries]:
+    """Power sums P_0..P_m_max, truncated at X^xmax, of the k roots
+    alpha_i of the monic form of (1-Y)^k + Y^(k-1) X: e_1 = k + (-1)^(k-1) X,
+    e_i = C(k, i) for i >= 2.  P[::d] are the power sums of the alpha_i^d."""
+    e = [MultiSeries.constant(comb(k, i), xmax) for i in range(k + 1)]
+    e[1] = e[1] + MultiSeries.variable("x", xmax).scale((-1) ** (k - 1))
+    return _power_sums(e, m_max)
 
 
 def exterior_F(k: int, l: int) -> Poly2:
@@ -160,12 +155,11 @@ def exterior_F(k: int, l: int) -> Poly2:
         return Poly2({(0, 0): ONE, (0, 1): -ONE})
     size = comb(k, l)
     P = _root_power_sums(k, l * size, size)
-    s = [Poly()] + [_elementary(P[::d], l, size)[l] for d in range(1, size + 1)]
-    E = _elementary(s, size, size)
+    s = [P[0]] + [_elementary(P[::d], l)[l] for d in range(1, size + 1)]
     return Poly2({
         (dx, j): -c if j % 2 else c
-        for j, ej in enumerate(E)
-        for dx, c in enumerate(ej.coeffs)
+        for j, ej in enumerate(_elementary(s, size))
+        for (dx, _, _), c in ej.coeffs.items()
     })
 
 
@@ -182,16 +176,14 @@ def kkk_general(k: int, n_max: int, r_max: int) -> dict[tuple[int, int], Fractio
     P = _root_power_sums(k, k * n_max, xmax)
     table: dict[tuple[int, int], Fraction] = {}
     for n in range(1, n_max + 1):
-        acc = Poly()
-        for j, ej in enumerate(_elementary(P[::n], k, xmax)):
+        acc = MultiSeries.zero(xmax)
+        for j, ej in enumerate(_elementary(P[::n], k)):
             acc = acc - ej if j % 2 else acc + ej
         # the X^0 slice must vanish: at X = 0 all roots collapse to 1
-        if acc.coeffs and acc.coeffs[0]:
+        if acc.constant_term():
             raise ValueError("internal error: log expansion has an X^0 term")
-        cs = acc.coeffs
         for r in range(0, r_max + 1):
-            c = cs[r + 1] if r + 1 < len(cs) else ZERO
-            table[(n, r)] = (-1) ** k * c / Fraction(n) ** k
+            table[(n, r)] = (-1) ** k * acc.coefficient(r + 1, 0, 0) / Fraction(n) ** k
     return table
 
 

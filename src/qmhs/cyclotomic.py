@@ -46,16 +46,25 @@ from .exactnum import ONE, Poly
 
 @functools.lru_cache(maxsize=256)
 def cyclotomic_polynomial(n: int) -> Poly:
-    """n-th cyclotomic polynomial, via (x^n - 1) / prod of proper divisors."""
+    """n-th cyclotomic polynomial; for n > 1 the product over d | n of
+    (1 - x^d)^mu(n/d), taken in integers modulo x^(n+1)."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n == 1:
         return Poly([-1, 1])
-    num = Poly.monomial(n) - Poly([1])
-    for d in range(1, n):
+    mu: dict = {}  # on the divisors of n, by sum_(e|d) mu(e) = 0 for d > 1
+    for d in range(1, n + 1):
         if n % d == 0:
-            num = num.div_exact(cyclotomic_polynomial(d))
-    return num
+            mu[d] = (d == 1) - sum(mu[e] for e in mu if d % e == 0)
+    c = [1] + [0] * n
+    for d in mu:
+        if mu[n // d] == 1:  # times 1 - x^d: one difference at lag d
+            for i in range(n, d - 1, -1):
+                c[i] -= c[i - d]
+        elif mu[n // d] == -1:  # over 1 - x^d: a running sum along each class mod d
+            for i in range(d, n + 1):
+                c[i] += c[i - d]
+    return Poly(c)
 
 
 # Signed machine integers by size in bytes, read and written in one call.

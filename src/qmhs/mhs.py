@@ -245,12 +245,6 @@ class ExactBackend:
             self._scales[w] = self._seed_powers(1)[1] ** w
         return self._scales[w]
 
-    def running_sums(self, values, inclusive: None) -> CycloElem:
-        """The total of the field elements `values`, with nothing written,
-        as the other rings give it for `inclusive` None; the chain DP takes
-        its running sums on `PackedChain`."""
-        return sum(values, self.zero)
-
     def lift(self, k: int, polylog: bool = False) -> "Lift":
         """Row k of the weights, or of the polylogarithm weights, lifted
         to Z[x]/(x^n - 1), kept once built."""
@@ -526,10 +520,9 @@ def profile_sum(profile: IndexProfile, n: int, star: bool = False) -> Fraction:
     return acc.rational_part()
 
 
-def brute_force(index: Index, n: int, backend=None, star: bool = False):
+def brute_force(index: Index, n: int, star: bool = False):
     """Direct enumeration of all chains; the independent oracle for the DP."""
-    if backend is None:
-        backend = exact_backend(n)
+    backend = exact_backend(n)
     r = index.depth
     if r == 0:
         return backend.one
@@ -546,4 +539,4 @@ def brute_force(index: Index, n: int, backend=None, star: bool = False):
         for k, m in zip(index.parts, ms):
             term = term * rows[k][m]
         terms.append(term)
-    return backend.running_sums(terms, None)
+    return sum(terms, backend.zero)

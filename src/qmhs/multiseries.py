@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import factorial
 from operator import itemgetter
 
 # RationalField is re-exported: the tracer in perfbench/spans.py reads it here
@@ -265,64 +266,43 @@ def ms_substitute(f: MultiSeries, u_expr: MultiSeries, v_expr: MultiSeries,
 def ms_divide_xy_minus_z(numerator: MultiSeries) -> MultiSeries:
     """Exact quotient of a series by (x*y - z).
 
-    The numerator is viewed as a polynomial in z and divided synthetically;
-    the remainder (the substitution z -> x*y) must vanish up to the cap.
-    The quotient is returned with cap reduced by 2, the weight of the
-    divisor, which is the precision actually determined.
+    Matching coefficients in N = (x*y - z) Q gives N_abc = Q_(a-1)(b-1)c -
+    Q_ab(c-1), so the terms of N on one diagonal (s, t) = (a + c, b + c),
+    all of weight s + t, meet only each other: Q at height c - 1 is minus
+    the sum of N's terms at heights >= c, and the sum of the whole diagonal
+    is the remainder at x^s y^t (the substitution z -> x*y), which must
+    vanish.  The quotient is returned with cap reduced by 2, the weight of
+    the divisor, which is the precision actually determined.
     """
     cap, field = numerator.cap, numerator.field
     if cap < 2:
         raise ValueError("cap too small to divide by a weight-2 element")
-    # slices[c] = coefficient of z^c, a series in x and y alone
-    slices: dict[int, dict] = {}
+    diagonals: dict = {}
     for (a, b, c), v in numerator.coeffs.items():
-        slices.setdefault(c, {})[(a, b)] = v
-    top = max(slices) if slices else 0
-    quot_slices: dict[int, dict] = {}
-    carry: dict = {}  # q_c while descending, as an (x,y)-map
-
-    def xy_shift(d: dict) -> dict:
-        return {(a + 1, b + 1): v for (a, b), v in d.items()}
-
-    # numerator = (x*y - z) * q + rem:  matching z^c gives, for c >= 1,
-    # q_{c-1} = x*y*q_c - f_c, and rem = f_0 - x*y*q_0.
-    for c in range(top, 0, -1):
-        f_c = slices.get(c, {})
-        q_cm1 = xy_shift(carry)
-        for e, v in f_c.items():
-            prev = q_cm1.get(e)
-            q_cm1[e] = -v if prev is None else prev - v
-        quot_slices[c - 1] = {e: v for e, v in q_cm1.items() if v}
-        carry = quot_slices[c - 1]
-    rem = dict(slices.get(0, {}))
-    for e, v in xy_shift(carry).items():
-        prev = rem.get(e)
-        rem[e] = -v if prev is None else prev - v
-    for (a, b), v in rem.items():
-        if v and a + b <= cap:
+        diagonals.setdefault((a + c, b + c), {})[c] = v
+    out: dict = {}
+    for (s, t), heights in diagonals.items():
+        q = field.zero
+        for c in range(max(heights), 0, -1):
+            if c in heights:
+                q = q - heights[c]
+            out[(s - c, t - c, c - 1)] = q
+        if q != heights.get(0, field.zero):
             raise ValueError(
                 "series is not divisible by x*y - z "
-                f"(remainder has nonzero x^{a}*y^{b} term)"
+                f"(remainder has nonzero x^{s}*y^{t} term)"
             )
-    out: dict = {}
-    for c, sl in quot_slices.items():
-        for (a, b), v in sl.items():
-            out[(a, b, c)] = v
     return MultiSeries(field, cap - 2, out)
 
 
 def exp_half_y(cap: int) -> MultiSeries:
     """exp(y/2) truncated at the cap."""
-    from math import factorial
-
     coeffs = {(0, m, 0): Fraction(1, 2**m * factorial(m)) for m in range(cap + 1)}
     return MultiSeries(RATIONALS, cap, coeffs)
 
 
 def x_over_sinh_half_x(cap: int) -> MultiSeries:
     """x / sinh(x/2) = 2 * (sum_m (x/2)^(2m) / (2m+1)!)^(-1)."""
-    from math import factorial
-
     body = {
         (2 * m, 0, 0): Fraction(1, 4**m * factorial(2 * m + 1)) for m in range(cap // 2 + 1)
     }
@@ -332,20 +312,11 @@ def x_over_sinh_half_x(cap: int) -> MultiSeries:
 def cosh_half_sqrt(w_expr: MultiSeries) -> MultiSeries:
     """cosh(sqrt(w)/2) = sum_m w^m / (4^m (2m)!) for a series w with zero
     constant term; no square root is ever formed."""
-    from math import factorial
-
     if w_expr.constant_term():
         raise ValueError("cosh_half_sqrt requires a zero constant term")
     cap, field = w_expr.cap, w_expr.field
-    total = MultiSeries.zero(cap, field)
-    wp = MultiSeries.constant(1, cap, field)
-    m = 0
-    while True:
-        total = total + wp.scale(Fraction(1, 4**m * factorial(2 * m)))
-        m += 1
-        if w_expr.valuation() * m > cap:
-            break
+    total = wp = MultiSeries.constant(1, cap, field)
+    for m in range(1, cap // w_expr.valuation() + 1):
         wp = wp * w_expr
-        if not wp:
-            break
+        total = total + wp.scale(Fraction(1, 4**m * factorial(2 * m)))
     return total

@@ -103,6 +103,31 @@ def test_exact_compute_ceiling_is_inclusive(capsys, monkeypatch):
     assert code == 0
 
 
+def test_numeric_compute_above_the_ceiling_is_input_error(capsys):
+    """Refused before the backend's tables are built."""
+    from qmhs import cli
+    from qmhs.mhs import numeric_backend
+
+    n = cli.NUMERIC_N_MAX + 1
+    built = numeric_backend.cache_info().misses
+    code, out, err = run_cli(capsys, "compute", "--index", "1,2", "--n", str(n),
+                             "--backend", "numeric")
+    assert (code, out) == (2, "")
+    assert err == (f"error: --n {n} is above {cli.NUMERIC_N_MAX}, the largest level "
+                   "of the numeric backend\n")
+    assert numeric_backend.cache_info().misses == built
+
+
+def test_numeric_compute_ceiling_is_inclusive(capsys, monkeypatch):
+    from qmhs import cli
+
+    monkeypatch.setattr(cli, "NUMERIC_N_MAX", 1024)
+    code, out, _ = run_cli(capsys, "compute", "--index", "2", "--n", "1024", "--backend", "numeric")
+    assert code == 0 and out.strip().endswith("i")
+    code, out, _ = run_cli(capsys, "compute", "--index", "2", "--n", "1025", "--backend", "numeric")
+    assert code == 2 and out == ""
+
+
 @pytest.mark.parametrize("suite,flag,ceiling", [
     pytest.param("all", "--n-max", "VERIFY_N_MAX", id="--n-max-VERIFY_N_MAX"),
     pytest.param("thm12", "--cap", "VERIFY_CAP_MAX", id="--cap-VERIFY_CAP_MAX"),

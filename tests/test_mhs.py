@@ -145,14 +145,6 @@ def test_backend_weight_caching():
     assert backend.weight(2, 3) is w1
 
 
-def test_exact_total_only_sums_write_nothing():
-    backend = exact_backend(7)
-    row = list(backend.weight_row(2))
-    values = list(row)
-    assert backend.running_sums(values, None) == sum(row, backend.zero)
-    assert values == row
-
-
 def test_zbar_scale_is_built_once_per_weight(monkeypatch):
     """Two indices of weight 3 at one level: the first builds the scale
     (1 - zeta)^(-3), the second finds it kept on the backend."""

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from qmhs.cyclotomic import get_field
 from qmhs.multiseries import (
     RATIONALS,
     MultiSeries,
@@ -154,19 +155,18 @@ def test_substitute_rejects_low_valuation():
         ms_substitute(MultiSeries.variable("w", cap), x, y, x)
 
 
-def test_divide_xy_minus_z():
+@pytest.mark.parametrize("field", (RATIONALS, get_field(5)), ids=("Q", "Q(zeta_5)"))
+def test_divide_xy_minus_z(field):
     cap = 8
-    x = MultiSeries.variable("x", cap)
-    y = MultiSeries.variable("y", cap)
-    z = MultiSeries.variable("z", cap)
+    x, y, z = (MultiSeries.variable(name, cap, field) for name in "xyz")
     d = x * y - z
-    assert ms_divide_xy_minus_z(d) == MultiSeries.constant(1, cap - 2)
+    assert ms_divide_xy_minus_z(d) == MultiSeries.constant(1, cap - 2, field)
     assert ms_divide_xy_minus_z(d * d) == truncate(d, cap - 2)
     rng = random.Random(47)
     for _ in range(25):
-        q = _random_series(rng, cap - 2)
+        q = _random_series(rng, cap - 2).map_coefficients(field.from_rational, field)
         # promote q to the full cap before multiplying
-        q_full = MultiSeries(RATIONALS, cap, dict(q.coeffs))
+        q_full = MultiSeries(field, cap, dict(q.coeffs))
         assert ms_divide_xy_minus_z(q_full * d) == q
     with pytest.raises(ValueError):
         ms_divide_xy_minus_z(x * y)

@@ -202,13 +202,17 @@ def _newton_oracle(roots: list[Poly], m_max: int, xmax: int):
 
 
 def _check_newton(roots: list[Poly], xmax: int):
+    """The oracle's values as series in X = x with cap xmax, the helpers'
+    representation, against the four Newton round trips."""
     k = len(roots)
-    e, p = _newton_oracle(roots, 2 * k + 2, xmax)
-    assert _power_sums(e, 2 * k + 2, xmax) == p
+    e, p = ([MultiSeries(RATIONALS, xmax, {(i, 0, 0): c for i, c in enumerate(v.coeffs)})
+             for v in values] for values in _newton_oracle(roots, 2 * k + 2, xmax))
+    zero = MultiSeries.zero(xmax)
+    assert _power_sums(e, 2 * k + 2) == p
     # e_j = 0 for j > k
-    assert _elementary(p, k + 2, xmax) == e + [Poly(), Poly()]
-    assert _elementary(_power_sums(e, k, xmax), k, xmax) == e
-    assert _power_sums(_elementary(p, k, xmax), 2 * k + 2, xmax) == p
+    assert _elementary(p, k + 2) == e + [zero, zero]
+    assert _elementary(_power_sums(e, k), k) == e
+    assert _power_sums(_elementary(p, k), 2 * k + 2) == p
 
 
 @settings(max_examples=60, deadline=None)
