@@ -17,14 +17,13 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from .closedforms import conjecture_check, depth_one_bar, kkk_general
 from .cyclotomic import render_cyclo
 from .mhs import Index, zbar, zbar_star, z, z_star
-from .report import FAIL, REPORT_ONLY, VerificationReport
+from .report import FAIL, VerificationReport
 from .suites import POLYLOG_CAP_MAX, SUITES, default_parallelism, run_suite
-from .xi import tilde_u, z_numeric
+from .xi import tilde_u
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1

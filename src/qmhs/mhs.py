@@ -156,6 +156,17 @@ def _inverse_power(order: int, k: int) -> list[int]:
     return vec
 
 
+def units_by_gcd(n: int) -> dict[int, list]:
+    """m = 1..n-1 by g = gcd(m, n): g -> [(m, u)], u a unit with g u = m mod n,
+    so that 1 - zeta^m is the conjugate sigma_u(1 - zeta^g)."""
+    units: dict[int, list] = {}
+    for m in range(1, n):
+        g = math.gcd(m, n)
+        u = next(u for u in range(m // g, n, n // g) if math.gcd(u, n) == 1)
+        units.setdefault(g, []).append((m, u))
+    return units
+
+
 class ExactBackend:
     """Value field Q(zeta_n) with q = zeta_n.
 
@@ -181,12 +192,7 @@ class ExactBackend:
         field = self.field = get_field(n)
         self.zero = field.zero
         self.one = field.one
-        # m = 1..n-1 by g = gcd(m, n): g -> [(m, u)], u a unit with g u = m mod n
-        self._units: dict[int, list] = {}
-        for m in range(1, n):
-            g = math.gcd(m, n)
-            u = next(u for u in range(m // g, n, n // g) if math.gcd(u, n) == 1)
-            self._units.setdefault(g, []).append((m, u))
+        self._units = units_by_gcd(n)
         self._powers: dict[int, dict] = {}
         # (twisted, k) -> the chain weight row (twisted) or polylogarithm row k
         self._rows: dict[tuple, list] = {}

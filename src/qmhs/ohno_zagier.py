@@ -17,6 +17,7 @@ import functools
 from collections.abc import Iterator
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .cyclotomic import CycloElem, CycloField, get_field
 from .exactnum import Poly
@@ -27,6 +28,7 @@ from .mhs import (
     enumerate_indices,
     exact_backend,
     profile_sum,
+    units_by_gcd,
 )
 from .multiseries import RATIONALS, MultiSeries, ms_substitute, render_series
 from .report import FAIL, PASS, VerificationReport, compare
@@ -222,25 +224,28 @@ def phi_product(n: int, cap: int) -> MultiSeries:
 
 
 def phi_recurrence(n: int, cap: int) -> MultiSeries:
-    """Recurrence route: c_1 = G_1, c_(j+1) = (P(q^j) c_j) G_(j+1), closed with
-    P(q^(n-1)) c_(n-1); G_j = 1/((1-q^j)(1-u-q^j)) = s^2 sum_(i<=cap) (s u)^i,
-    s = (1-q^j)^(-1) by `CycloElem` inversion: no series inverse, no polylogarithm
-    row.  c_j (P G) saves a product per step but is slower at n = 41 (wider integers)."""
+    """Recurrence route, unrolled: c_1 = G_1, c_(j+1) = (P(q^j) c_j) G_(j+1),
+    closed with P(q^(n-1)) c_(n-1), is prod_(j<n) P(q^j) times prod_(j<n) G_j
+    exactly, as truncated products regroup freely; G_j = 1/((1-q^j)(1-u-q^j))
+    = s_j^2 sum_(i<=cap) (s_j u)^i, s_j = (1-q^j)^(-1).  The P product stays in
+    Z[zeta_n] and the G_j, series in u alone, meet it only at the end.  One
+    `CycloElem` inversion per g = gcd(j, n) < n gives s_g^k, k = 2..cap+2, and
+    j = g u mod n reads sigma_u(s_g^k) (`CycloField.conjugates`): no series
+    inverse, no polylogarithm row."""
     if n < 2:
         raise ValueError("the recurrence route needs n >= 2")
     field = get_field(n)
-
-    def geometric(j: int) -> MultiSeries:
-        s = (field.one - field.zeta_pow(j)).inverse()
+    quads = functools.reduce(mul, (_quad_p(field, field.zeta_pow(j), cap) for j in range(1, n)))
+    geometric = []
+    for g, ms in units_by_gcd(n).items():
+        s = (field.one - field.zeta_pow(g)).inverse()
         powers = [s * s]
         for _ in range(cap):
             powers.append(powers[-1] * s)
-        return MultiSeries(field, cap, {(i, 0, 0): p for i, p in enumerate(powers)})
-
-    c_j = geometric(1)
-    for j in range(1, n - 1):
-        c_j = _quad_p(field, field.zeta_pow(j), cap) * c_j * geometric(j + 1)
-    return _quad_p(field, field.zeta_pow(n - 1), cap) * c_j
+        images = [field.conjugates(p, [(u, 0) for _, u in ms]) for p in powers]
+        geometric += (MultiSeries(field, cap, {(i, 0, 0): c for i, c in enumerate(col)})
+                      for col in zip(*images))
+    return quads * functools.reduce(mul, geometric)
 
 
 def transform_images(cap: int, field) -> tuple[MultiSeries, MultiSeries, MultiSeries]:
@@ -261,10 +266,11 @@ def prop_3_3_rows(n: int, cap: int) -> Iterator[VerificationReport]:
     `f_series` the twisted one, taken to Q, so the substitution checks the
     twist.  Only the product route reads the cached polylogarithm rows; the
     recurrence route's coefficients come from field operations alone
-    (`_quad_p`, `CycloElem` inverses for G_j), so `phi-routes` compares two
-    independent routes.  The product route is rational: an automorphism
-    zeta -> zeta^a with gcd(a, n) = 1 permutes its factors j = 1..n-1.  So the
-    substitution runs over Q; `to_rational` raises on an irrational coefficient."""
+    (`_quad_p`, and for the G_j one `CycloElem` inverse per divisor of n and
+    its conjugates), so `phi-routes` compares two independent routes.  The
+    product route is rational: an automorphism zeta -> zeta^a with
+    gcd(a, n) = 1 permutes its factors j = 1..n-1.  So the substitution runs
+    over Q; `to_rational` raises on an irrational coefficient."""
     prod = phi_product(n, cap)
     rec = phi_recurrence(n, cap)
     yield compare("phi-routes", {"n": n, "cap": cap}, prod, rec, render_series)

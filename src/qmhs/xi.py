@@ -18,7 +18,6 @@ from .exactnum import binomial, bernoulli
 from .mhs import Index, numeric_backend, z as mhs_z
 from .multiseries import (
     MultiSeries,
-    RATIONALS,
     cosh_half_sqrt,
     exp_half_y,
     ms_divide_xy_minus_z,

@@ -196,6 +196,29 @@ def test_phi_recurrence_takes_no_series_inverse_and_reads_no_row(monkeypatch):
     assert phi_recurrence(n, cap) == expected
 
 
+@pytest.mark.parametrize("n, divisors", [(10, 3), (12, 5), (41, 1)])
+def test_phi_recurrence_inverts_once_per_divisor(monkeypatch, n, divisors):
+    # s_j for j = g u is the conjugate sigma_u(s_g), one inverse per g | n, g < n
+    calls = []
+    inverse = CycloElem.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CycloElem, "inverse", counted)
+    phi_recurrence(n, 4)
+    assert len(calls) == divisors
+
+
+@pytest.mark.parametrize("n, cap", [(41, 6), (49, 4)])
+def test_phi_routes_agree_at_high_degree(n, cap):
+    # degree 40 and 42: the widest coefficients the routes pack
+    rec = phi_recurrence(n, cap)
+    assert rec == phi_recurrence_by_inverses(n, cap)
+    assert rec == phi_product(n, cap)
+
+
 def test_phi_substitution_reproduces_generating_function():
     for n in (2, 3, 4):
         reports = verify_prop_3_3(n, 4)
