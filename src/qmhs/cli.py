@@ -13,7 +13,6 @@ rationals losslessly.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -107,6 +106,8 @@ def _reports_json(reports: list[VerificationReport]) -> str:
 
 
 def _reports_csv(reports: list[VerificationReport]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["suite", "params", "status", "lhs", "rhs", "micros"])
@@ -239,6 +240,8 @@ def cmd_table(args) -> int:
                   for row in rows]
         text = "\n".join(lines)
     else:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)

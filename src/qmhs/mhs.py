@@ -21,9 +21,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .cyclotomic import (
     CycloElem, _common_denominator, _digits, _fold, _normalized, _pack_digits,
@@ -91,13 +90,8 @@ class Index:
         return ",".join(str(p) for p in self.parts)
 
 
-@dataclass(frozen=True)
-class IndexProfile:
-    """A (weight, depth, height) triple."""
-
-    weight: int
-    depth: int
-    height: int
+IndexProfile = namedtuple("IndexProfile", "weight depth height")
+IndexProfile.__doc__ = """A (weight, depth, height) triple."""
 
 
 def enumerate_indices(weight: int, depth: int, height: int | None = None):
@@ -129,17 +123,11 @@ def enumerate_profile(profile: IndexProfile):
     return enumerate_indices(profile.weight, profile.depth, profile.height)
 
 
-class Lift(NamedTuple):
-    """A row of weights w(m) = N_m(zeta) / den, m = 1..n-1, lifted to
-    Z[x]/(x^n - 1): the numerator vectors N_m laid down one after another
-    as `digits` of `size` bytes (`cyclotomic._digits`), and per N_m the
-    largest size of a coefficient and the sum of their sizes."""
-
-    den: int
-    digits: bytes
-    size: int
-    heights: list
-    norms: list
+Lift = namedtuple("Lift", "den digits size heights norms")
+Lift.__doc__ = """A row of weights w(m) = N_m(zeta) / den, m = 1..n-1, lifted to
+Z[x]/(x^n - 1): the numerator vectors N_m laid down one after another as
+`digits` of `size` bytes (`cyclotomic._digits`), and per N_m the largest
+size of a coefficient and the sum of their sizes."""
 
 
 def _inverse_power(order: int, k: int) -> list[int]:

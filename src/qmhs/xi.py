@@ -10,7 +10,7 @@ built from even hyperbolic series, with exact rational coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -26,12 +26,10 @@ from .multiseries import (
 from .ohno_zagier import to_star
 
 
-@dataclass(frozen=True)
-class XiClosed:
+class XiClosed(namedtuple("XiClosed", "coeff power")):
     """Exact value coeff * (-2*pi*i)^power."""
 
-    coeff: Fraction
-    power: int
+    __slots__ = ()
 
     def complex_value(self) -> complex:
         return complex(self.coeff) * (-2j * math.pi) ** self.power
@@ -138,19 +136,14 @@ def tilde_u_star(cap: int) -> MultiSeries:
     return to_star(tilde_u(cap))
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    value: complex
-    error: float
+ConvergenceRow = namedtuple("ConvergenceRow", "n value error")
 
 
-@dataclass(frozen=True)
-class ConvergenceStudy:
-    index: Index
-    target: complex
-    rows: tuple
-    rate: float  # empirical exponent from a log-log fit; reported, not asserted
+class ConvergenceStudy(namedtuple("ConvergenceStudy", "index target rows rate")):
+    """The rows of a convergence study; `rate` is the empirical exponent
+    from a log-log fit, reported, not asserted."""
+
+    __slots__ = ()
 
     def errors(self) -> list[float]:
         return [row.error for row in self.rows]
