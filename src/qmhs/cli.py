@@ -105,18 +105,20 @@ def _reports_json(reports: list[VerificationReport]) -> str:
     return json.dumps([r.as_dict() for r in reports], indent=2)
 
 
-def _reports_csv(reports: list[VerificationReport]) -> str:
+def _csv(header: list, rows) -> str:
     import csv
 
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["suite", "params", "status", "lhs", "rhs", "micros"])
-    for r in reports:
-        writer.writerow(
-            [r.suite, json.dumps(r.params, sort_keys=True), r.status, r.lhs,
-             r.rhs, r.micros]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def _reports_csv(reports: list[VerificationReport]) -> str:
+    rows = ([r.suite, json.dumps(r.params, sort_keys=True), r.status, r.lhs, r.rhs, r.micros]
+            for r in reports)
+    return _csv(["suite", "params", "status", "lhs", "rhs", "micros"], rows)
 
 
 def _format_reports(reports, fmt: str) -> str:
@@ -240,13 +242,7 @@ def cmd_table(args) -> int:
                   for row in rows]
         text = "\n".join(lines)
     else:
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
+        text = _csv(header, rows)
     _write_output(text, args.output)
     return EXIT_OK
 

@@ -26,8 +26,8 @@ product, and it gives the inverse as the other conjugates over the norm.
 The exact chain DP of `mhs` runs on the same packed integers, in
 Z[x]/(x^n - 1): `_digits` and `_pack_digits` lay its rows down, `_fold`
 folds a product with x^n = 1 without unpacking it, `_widen` moves
-packed values to wider digits, and `_packed_digits` and `_read_digits`
-unpack its results.
+packed values to wider digits, and `_unpack`, the reader of every product,
+reads its results.
 """
 
 from __future__ import annotations
@@ -108,6 +108,8 @@ def _unpack(value: int, width: int, count: int, period: int) -> list[int]:
         count = period
     raw = (value ^ shift).to_bytes(width * count, "little")
     fmt = _FORMATS.get(width)
+    if not fmt and width < 8 and 8 in _FORMATS:  # 3, 5, 6 or 7 bytes: read at 8
+        raw, fmt = _relaid(raw, width, 8), _FORMATS[8]
     if fmt:
         return array(fmt, raw).tolist()
     return [int.from_bytes(raw[i : i + width], "little", signed=True)
@@ -150,33 +152,13 @@ def _pack_digits(raw: bytes, size: int, length: int, width: int) -> list[int]:
             for i in range(0, len(out), step)]
 
 
-def _packed_digits(values: list, width: int, count: int) -> bytes:
-    """The digits of packed values of `count` digits at `width` bytes, in
-    two's complement: as in `_unpack`, shifted by X / 2 each digit is
-    nonnegative, and flipping its top bit gives it in two's complement."""
-    shift = _offsets(width, count)
-    return b"".join([((v + shift) ^ shift).to_bytes(width * count, "little") for v in values])
-
-
-def _read_digits(raw: bytes, size: int, length: int) -> list[list[int]]:
-    """The runs of `length` two's-complement digits of `size` bytes in
-    `raw` as integer vectors, re-laid at 8 bytes when narrower and read
-    by one `array` call."""
-    fmt = _FORMATS.get(size)
-    if not fmt and size < 8 and 8 in _FORMATS:
-        raw, fmt = _relaid(raw, size, 8), _FORMATS[8]
-    if fmt:
-        flat = array(fmt, raw).tolist()
-    else:
-        flat = [int.from_bytes(raw[i:i + size], "little", signed=True)
-                for i in range(0, len(raw), size)]
-    return [flat[i:i + length] for i in range(0, len(flat), length)]
-
-
 def _widen(values: list, count: int, width: int, wider: int) -> list[int]:
     """Packed values of `count` digits at `width` bytes, packed again at
-    `wider` bytes."""
-    return _pack_digits(_packed_digits(values, width, count), width, count, wider)
+    `wider` bytes.  As in `_unpack`, shifted by X / 2 each digit is
+    nonnegative, and flipping its top bit gives it in two's complement."""
+    shift = _offsets(width, count)
+    raw = b"".join([((v + shift) ^ shift).to_bytes(width * count, "little") for v in values])
+    return _pack_digits(raw, width, count, wider)
 
 
 def _fold(values, width: int, period: int, count: int) -> list[int]:

@@ -205,13 +205,6 @@ class Poly:
                 rem[i - dd + j] -= q * dc
         return _poly(quot, field), _poly(rem, field)
 
-    def div_exact(self, divisor: "Poly") -> "Poly":
-        """Exact quotient; raises ValueError on a nonzero remainder."""
-        q, r = self.divmod(divisor)
-        if r:
-            raise ValueError("inexact polynomial division")
-        return q
-
     def div_t_exact(self) -> "Poly":
         """Exact quotient by t; the constant term must vanish."""
         if self.coeffs and self.coeffs[0]:

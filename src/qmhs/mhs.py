@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .cyclotomic import (
     CycloElem, _common_denominator, _digits, _fold, _normalized, _pack_digits,
-    _packed_digits, _read_digits, _widen, compensated_sums, get_field,
+    _unpack, _widen, compensated_sums, get_field,
 )
 
 
@@ -166,8 +166,8 @@ class ExactBackend:
     (1 - zeta) the chain weight is zeta^((k-1)m) (1 - zeta)^k sigma_u(s_g^k).
     Each entry is integer vector operations on the numerator of s_g^k
     and one reduction, with no field product (`CycloField.conjugates`).
-    The powers are kept per k for both rows.  All cached values are
-    immutable.
+    Each power is built on first use and kept for both rows, and s_1^w
+    is the scale of `zbar_scale`.  All cached values are immutable.
 
     The chain DP reads each row it serves lifted to Z[x]/(x^n - 1), once
     (`lift`), and packed at the digit width of an evaluation, keeping the
@@ -181,28 +181,26 @@ class ExactBackend:
         self.zero = field.zero
         self.one = field.one
         self._units = units_by_gcd(n)
-        self._powers: dict[int, dict] = {}
+        # (k, g) -> s_g^k
+        self._powers: dict[tuple, CycloElem] = {}
         # (twisted, k) -> the chain weight row (twisted) or polylogarithm row k
         self._rows: dict[tuple, list] = {}
-        self._scales: dict[int, CycloElem] = {}
         # (polylog, k) -> the row lifted, as `lift` returns it
         self._lifts: dict[tuple, tuple] = {}
         # (polylog, k) -> (width, the lifted vectors packed at that width)
         self._packed: dict[tuple, tuple] = {}
 
-    def _seed_powers(self, k: int) -> dict:
-        """s_g^k = (1 - zeta^g)^(-k) for each g = gcd(m, n), kept per k.
-        s_g^k is a polynomial in y = zeta^g over (n/g)^k, laid at the
-        multiples of g and reduced once."""
-        powers = self._powers.get(k)
-        if powers is None:
+    def _seed_power(self, k: int, g: int) -> CycloElem:
+        """s_g^k = (1 - zeta^g)^(-k), kept once built.  s_g^k is a
+        polynomial in y = zeta^g over (n/g)^k, laid at the multiples of g
+        and reduced once."""
+        s = self._powers.get((k, g))
+        if s is None:
             field, n = self.field, self.n
-            powers = self._powers[k] = {}
-            for g in self._units:
-                vec = [0] * n
-                vec[::g] = _inverse_power(n // g, k)
-                powers[g] = _normalized(field, field._reduce(vec), (n // g) ** k)
-        return powers
+            vec = [0] * n
+            vec[::g] = _inverse_power(n // g, k)
+            s = self._powers[k, g] = _normalized(field, field._reduce(vec), (n // g) ** k)
+        return s
 
     def _conjugates(self, k: int, twisted: bool) -> list:
         """sigma_u(s_g^k) for m = 1..n-1, each times zeta^((k-1)m)
@@ -211,9 +209,9 @@ class ExactBackend:
         if row is None:
             row = [None] * (self.n - 1)
             twist, power = (k - 1, k) if twisted else (0, 0)
-            for g, s in self._seed_powers(k).items():
-                ms = self._units[g]
-                images = self.field.conjugates(s, [(u, twist * m) for m, u in ms], power)
+            for g, ms in self._units.items():
+                images = self.field.conjugates(
+                    self._seed_power(k, g), [(u, twist * m) for m, u in ms], power)
                 for (m, _), image in zip(ms, images):
                     row[m - 1] = image
             self._rows[twisted, k] = row
@@ -233,11 +231,9 @@ class ExactBackend:
         return self._conjugates(k, False)
 
     def zbar_scale(self, w: int) -> CycloElem:
-        """(1 - zeta)^(-w), the scale of a modified value of weight w, kept
-        once built."""
-        if w not in self._scales:
-            self._scales[w] = self._seed_powers(1)[1] ** w
-        return self._scales[w]
+        """(1 - zeta)^(-w) = s_1^w, the scale of a modified value of weight
+        w, kept with the seed powers."""
+        return self._seed_power(w, 1)
 
     def lift(self, k: int, polylog: bool = False) -> "Lift":
         """Row k of the weights, or of the polylogarithm weights, lifted
@@ -357,8 +353,7 @@ class PackedChain:
     def elements(self, values: list) -> list[CycloElem]:
         """The field elements of packed values over the denominator."""
         field, den, n, width = self._backend.field, self._den, self._backend.n, self._width
-        vecs = _read_digits(_packed_digits(values, width, n), width, n)
-        return [_normalized(field, field._reduce(vec), den) for vec in vecs]
+        return [_normalized(field, field._reduce(_unpack(v, width, n, n)), den) for v in values]
 
 
 class NumericBackend:

@@ -29,6 +29,7 @@ from .mhs import (
     exact_backend,
     profile_sum,
     units_by_gcd,
+    zbar,
 )
 from .multiseries import RATIONALS, MultiSeries, ms_substitute, render_series
 from .report import FAIL, PASS, VerificationReport, compare
@@ -182,8 +183,6 @@ def sum_formula_check(n: int, k: int, r: int, k_max: int = 0) -> VerificationRep
     the same `k_max` share one series."""
     if not (k >= r and n > r > 0):
         raise ValueError("requires k >= r and n > r > 0")
-    from .mhs import zbar
-
     series = f_series(n, max(k, k_max), False)
     lhs_q = sum(
         (series.coefficient(k - r - s, r - s, s) for s in range(min(r, k - r) + 1)),

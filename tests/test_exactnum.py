@@ -109,14 +109,6 @@ def test_ratpoly_divmod_roundtrip():
         Poly([1]).divmod(Poly())
 
 
-def test_ratpoly_div_exact():
-    f = Poly([1, 2, 1])  # (1+x)^2
-    g = Poly([1, 1])
-    assert f.div_exact(g) == g
-    with pytest.raises(ValueError):
-        Poly([1, 1, 1]).div_exact(Poly([1, 1]))
-
-
 def test_poly_xgcd():
     rng = random.Random(13)
     for _ in range(25):

@@ -146,33 +146,35 @@ def test_backend_weight_caching():
 
 
 def test_zbar_scale_is_built_once_per_weight(monkeypatch):
-    """Two indices of weight 3 at one level: the first builds the scale
-    (1 - zeta)^(-3), the second finds it kept on the backend."""
+    """The scale (1 - zeta)^(-w) of weight w <= 8 is the seed power s_1^w:
+    equal to the w-th power of (1 - zeta)^(-1), built with no field
+    product, kept on the backend, and the factor zbar puts on z."""
     import qmhs.mhs as mhs
     from qmhs.cyclotomic import CycloElem
 
-    n = 7
-    field = get_field(n)
-    target = inv_one_minus_zeta_pow(field, 1) ** 3
-    mhs._zbar_cached.cache_clear()
-    mhs.exact_backend.cache_clear()
-    built = []
-    for name in ("__mul__", "__pow__"):
-        original = getattr(CycloElem, name)
+    weights = range(1, 9)
+    for n in (2, 7, 9, 12, 41, 49):
+        field = get_field(n)
+        targets = [inv_one_minus_zeta_pow(field, 1) ** w for w in weights]
+        mhs._zbar_cached.cache_clear()
+        mhs.exact_backend.cache_clear()
+        backend = exact_backend(n)
+        products = []
+        for name in ("__mul__", "__pow__"):
+            original = getattr(CycloElem, name)
 
-        def counting(a, b, original=original):
-            out = original(a, b)
-            built.append(out == target)
-            return out
+            def counting(a, b, original=original, name=name):
+                products.append(name)
+                return original(a, b)
 
-        monkeypatch.setattr(CycloElem, name, counting)
-    first = zbar(Index((2, 1)), n)
-    after_first = sum(built)
-    second = zbar(Index((1, 2)), n)
-    monkeypatch.undo()
-    assert after_first >= 1
-    assert sum(built) == after_first
-    assert first == z(Index((2, 1)), n) * target
-    assert second == z(Index((1, 2)), n) * target
+            monkeypatch.setattr(CycloElem, name, counting)
+        scales = [backend.zbar_scale(w) for w in weights]
+        monkeypatch.undo()
+        assert products == [], n
+        assert scales == targets, n
+        for w, scale in zip(weights, scales):
+            for index in (Index((w,)), Index.repeat(1, w)):
+                assert zbar(index, n) == z(index, n) * scale, (n, index)
+        assert all(backend.zbar_scale(w) is scale for w, scale in zip(weights, scales)), n
     mhs._zbar_cached.cache_clear()
     mhs.exact_backend.cache_clear()
