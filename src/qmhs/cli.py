@@ -2,9 +2,10 @@
 emit tables, and probe the conjectured identities.
 
 Exit codes: 0 all passed, 1 verification failure, 2 invalid input (an
-exact `compute` above `EXACT_N_MAX`, a numeric one above `NUMERIC_N_MAX`,
-`verify`, `conjecture` and `table` above their ceilings included) or a
-numeric overflow, 3 output I/O failure, 4 out of memory, 130 interrupted.
+exact `compute` above `EXACT_N_MAX` or `EXACT_WEIGHT_MAX`, a numeric one
+above `NUMERIC_N_MAX`, `verify`, `conjecture` and `table` above their
+ceilings included) or a numeric overflow, 3 output I/O failure, 4 out of
+memory, 130 interrupted.
 Each error prints one `error:` line to stderr and no traceback.  Exact
 values are always serialized as strings; JSON numbers cannot carry big
 rationals losslessly.
@@ -35,6 +36,14 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 # holds about n^2 integers: at n = 769, z of (3, 2, 1) took 2.1 s and
 # 94 MB, growing as n^2 in memory and faster in time.
 EXACT_N_MAX = 1000
+
+# The largest weight `compute` evaluates exactly.  Memory grows with the
+# weight, which bounds both the largest part and the depth: at --n 1000,
+# (64) took 6.5 s and 211 MB, (200) 27 s and 485 MB, and (21, 21, 22),
+# the most of the weight-64 shapes measured, 41 s and 502 MB.  The ceiling
+# bounds memory, not time: depth costs time faster than weight, so
+# {8}^8 took 113 s there, and {1}^64 at --n 400 took 109 s in 114 MB.
+EXACT_WEIGHT_MAX = 64
 
 # The largest level `compute` evaluates in double precision.  The numeric
 # backend holds about 120 bytes a level: --n 2^22 took 8.6 s and 498 MB.
@@ -146,6 +155,9 @@ def cmd_compute(args) -> int:
     if args.n > EXACT_N_MAX:
         raise ValueError(f"--n {args.n} is above {EXACT_N_MAX}, the largest level of the "
                          "exact backend; use --backend numeric")
+    if index.weight > EXACT_WEIGHT_MAX:
+        raise ValueError(f"weight {index.weight} is above {EXACT_WEIGHT_MAX}, the largest "
+                         "the exact backend takes")
     if args.modified:
         value = (zbar_star if args.star else zbar)(index, args.n)
     else:

@@ -273,12 +273,6 @@ class CycloField:
             out.append(_normalized(self, self._reduce(vec), a.den))
         return out
 
-    def element(self, poly: Poly) -> "CycloElem":
-        """Image of a rational polynomial in zeta, reduced modulo phi."""
-        den = math.lcm(*(c.denominator for c in poly.coeffs))
-        vec = [c.numerator * (den // c.denominator) for c in poly.coeffs]
-        return _normalized(self, self._reduce(vec), den)
-
     def from_rational(self, q) -> "CycloElem":
         q = Fraction(q)
         return _elem(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)

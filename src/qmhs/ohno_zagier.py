@@ -173,6 +173,15 @@ def verify_theorem_1_2(n: int, cap: int) -> VerificationReport:
     )
 
 
+def weight_depth_sum(series: MultiSeries, k: int, r: int):
+    """The coefficients of weight k and depth r of a generating series,
+    added: x^(k-r-s) y^(r-s) z^s over every height s <= min(r, k - r)."""
+    return sum(
+        (series.coefficient(k - r - s, r - s, s) for s in range(min(r, k - r) + 1)),
+        series.field.zero,
+    )
+
+
 def sum_formula_check(n: int, k: int, r: int, k_max: int = 0) -> VerificationReport:
     """Weight-depth sum formula: the sum of modified values over all
     indices of weight k and depth r equals
@@ -183,11 +192,7 @@ def sum_formula_check(n: int, k: int, r: int, k_max: int = 0) -> VerificationRep
     the same `k_max` share one series."""
     if not (k >= r and n > r > 0):
         raise ValueError("requires k >= r and n > r > 0")
-    series = f_series(n, max(k, k_max), False)
-    lhs_q = sum(
-        (series.coefficient(k - r - s, r - s, s) for s in range(min(r, k - r) + 1)),
-        Fraction(0),
-    )
+    lhs_q = weight_depth_sum(f_series(n, max(k, k_max), False), k, r)
     rhs_q = sum(
         (
             Fraction(comb(n, j), n) * zbar(Index((k + 1 - j,)), n).rational_part()

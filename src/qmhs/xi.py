@@ -84,9 +84,6 @@ def xi_kkk(k: int, r: int) -> XiClosed:
 def xi_sum_formula(k: int, r: int) -> XiClosed:
     """Sum of the limits over all indices of weight k and depth r:
     -(-2*pi*i)^k / (k+1)! * sum_{j=1..r} C(k+1, j) B_(k+1-j).
-
-    The equivalent intermediate form sum_j (-2*pi*i)^(j-1)/j! * xi(k+1-j)
-    is evaluated as well and the two are checked against each other.
     """
     if not k >= r >= 1:
         raise ValueError("requires k >= r >= 1")
@@ -94,20 +91,7 @@ def xi_sum_formula(k: int, r: int) -> XiClosed:
         (binomial(k + 1, j) * bernoulli(k + 1 - j) for j in range(1, r + 1)),
         Fraction(0),
     )
-    direct = XiClosed(-total / factorial(k + 1), k)
-    via_depth1 = sum(
-        (
-            Fraction(1, factorial(j)) * xi_closed_depth1(k + 1 - j).coeff
-            for j in range(1, r + 1)
-        ),
-        Fraction(0),
-    )
-    if via_depth1 != direct.coeff:
-        raise AssertionError(
-            "sum-formula routes disagree: "
-            f"{direct.coeff} vs {via_depth1} at k={k}, r={r}"
-        )
-    return direct
+    return XiClosed(-total / factorial(k + 1), k)
 
 
 def tilde_u(cap: int) -> MultiSeries:

@@ -1,12 +1,13 @@
 """Operations that only the tests use: series powers and truncation, the
-closed-form inverse of 1 - zeta^m, an oracle for the weight rows, and the
-former constructions of the Prop 3.3 recurrence route and of series
-substitution, oracles for the current ones."""
+image of a rational polynomial in zeta, the closed-form inverse of
+1 - zeta^m, an oracle for the weight rows, and the former constructions
+of the Prop 3.3 recurrence route and of series substitution, oracles for
+the current ones."""
 
 import math
 from fractions import Fraction
 
-from qmhs.cyclotomic import get_field
+from qmhs.cyclotomic import CycloElem, get_field
 from qmhs.exactnum import Poly
 from qmhs.multiseries import WEIGHTS, MultiSeries
 
@@ -31,6 +32,13 @@ def truncate(a: MultiSeries, cap: int) -> MultiSeries:
     return MultiSeries(a.field, cap, a.coeffs)
 
 
+def element(field, poly: Poly) -> CycloElem:
+    """Image of a rational polynomial in zeta, reduced modulo phi."""
+    den = math.lcm(*(c.denominator for c in poly.coeffs))
+    vec = [c.numerator * (den // c.denominator) for c in poly.coeffs]
+    return CycloElem(field, [Fraction(c, den) for c in field._reduce(vec)])
+
+
 def inv_one_minus_zeta_pow(field, m: int):
     """(1 - zeta^m)^(-1) in closed form, for n not dividing m.
 
@@ -45,7 +53,7 @@ def inv_one_minus_zeta_pow(field, m: int):
     vec = [Fraction(0)] * n
     for j in range(1, order):
         vec[(m * j) % n] -= Fraction(j, order)
-    return field.element(Poly(vec))
+    return element(field, Poly(vec))
 
 
 def quad_p_by_operations(field, x_val, cap: int) -> MultiSeries:

@@ -103,6 +103,36 @@ def test_exact_compute_ceiling_is_inclusive(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("flags", ((), ("--modified",), ("--star",)))
+def test_exact_compute_above_the_weight_ceiling_is_input_error(capsys, flags):
+    """Refused before any field or backend is built; the parts need not
+    be large, since the weight also bounds the depth."""
+    from qmhs import cli
+    from qmhs.mhs import exact_backend
+
+    w = cli.EXACT_WEIGHT_MAX + 1
+    index = ",".join(["1"] * (w - 2) + ["2"])
+    built = get_field.cache_info().misses, exact_backend.cache_info().misses
+    code, out, err = run_cli(capsys, "compute", "--index", index, "--n", "997", *flags)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: weight {w} is above {cli.EXACT_WEIGHT_MAX}, the largest "
+                   "the exact backend takes\n")
+    assert (get_field.cache_info().misses, exact_backend.cache_info().misses) == built
+
+
+def test_exact_compute_weight_ceiling_is_inclusive(capsys, monkeypatch):
+    from qmhs import cli
+
+    monkeypatch.setattr(cli, "EXACT_WEIGHT_MAX", 2)
+    code, out, _ = run_cli(capsys, "compute", "--index", "1,1", "--n", "3", "--modified")
+    assert code == 0 and out.strip() == "1/3"
+    code, out, _ = run_cli(capsys, "compute", "--index", "1,2", "--n", "3")
+    assert code == 2 and out == ""
+    code, out, _ = run_cli(capsys, "compute", "--index", "1,2", "--n", "3", "--backend", "numeric")
+    assert code == 0
+
+
 def test_numeric_compute_above_the_ceiling_is_input_error(capsys):
     """Refused before the backend's tables are built."""
     from qmhs import cli
@@ -509,6 +539,18 @@ def test_verify_takes_zero_cap_as_given(capsys):
     reports = json.loads(out)
     assert [r["params"] for r in reports] == [{"n": 1, "cap": 0}, {"n": 2, "cap": 0}]
     assert all(r["status"] == "pass" for r in reports)
+
+
+@pytest.mark.parametrize("suite", ["sumformula", "thm11"])
+def test_r_max_includes_its_own_depth(capsys, suite):
+    """`--r-max R` runs every depth r <= R that a level n > r allows."""
+    for r_max in (1, 2):
+        code, out, _ = run_cli(capsys, "verify", suite, "--n-max", "4", "--k-max", "3",
+                               "--r-max", str(r_max), "--format", "json")
+        assert code == 0
+        depths = {(row["params"]["n"], row["params"]["r"])
+                  for row in json.loads(out) if "r" in row["params"]}
+        assert depths == {(n, r) for n in range(2, 5) for r in range(1, min(n - 1, r_max) + 1)}
 
 
 @pytest.mark.parametrize(

@@ -37,7 +37,7 @@ from qmhs.cyclotomic import (
 )
 from qmhs.exactnum import Poly, poly_xgcd
 from qmhs.mhs import ExactBackend
-from helpers import inv_one_minus_zeta_pow
+from helpers import element, inv_one_minus_zeta_pow
 
 ORACLE_NS = (1, 2, 3, 12, 41, 49, 60, 97, 128)
 INVERSE_NS = tuple(range(1, 60)) + (97, 128)
@@ -351,7 +351,7 @@ def test_mul_fast_paths_match_divmod(n):
 
 def _xgcd_inverse(a):
     s, _, g = poly_xgcd(Poly(a.coeffs), a.field.phi)
-    return a.field.element(s.scale(g.coeffs[0] ** -1))
+    return element(a.field, s.scale(g.coeffs[0] ** -1))
 
 
 @pytest.mark.parametrize("n", range(1, 42))

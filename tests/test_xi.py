@@ -5,6 +5,7 @@ import pytest
 
 from qmhs.exactnum import bernoulli
 from qmhs.mhs import Index, enumerate_indices, z, z_star, exact_backend, numeric_backend
+from qmhs.suites import _XI_TARGETS
 from qmhs.xi import (
     XiClosed,
     closed_form_target,
@@ -53,6 +54,24 @@ def test_all_ones_limit_numerically():
 def test_sum_formula_reduces_to_depth_one():
     for k in range(1, 11):
         assert xi_sum_formula(k, 1).coeff == xi_closed_depth1(k).coeff
+
+
+def test_sum_formula_is_depth_one_limits_weighted_by_inverse_factorials():
+    """C(k+1, j) / (k+1)! = 1 / (j! (k+1-j)!), so the limit sum over
+    weight k and depth r is sum_(j<=r) xi(k+1-j) / j!, term by term."""
+    for k in range(1, 31):
+        for r in range(1, k + 1):
+            via_depth1 = sum(
+                (xi_closed_depth1(k + 1 - j).coeff / math.factorial(j) for j in range(1, r + 1)),
+                Fraction(0),
+            )
+            assert xi_sum_formula(k, r) == XiClosed(via_depth1, k), (k, r)
+
+
+def test_xi_numeric_targets_are_the_closed_forms():
+    """The limits the xi-numeric rows display are the closed forms."""
+    for index, limit, _ in _XI_TARGETS:
+        assert abs(closed_form_target(index).complex_value() - limit) < 1e-12, index
 
 
 def test_kernel_low_coefficients():
