@@ -218,7 +218,7 @@ class CycloField:
         d, s = self.degree, self._block
         if s and d < len(vec) <= self.n:
             top = vec[d:] + [0] * (self.n - len(vec))
-            return list(map(operator.sub, vec[:d], top * (d // s)))
+            return list(map(operator.sub, vec, top * (d // s)))
         tail = self._phi_tail
         for k in range(len(vec) - 1, d - 1, -1):
             t = vec[k]
@@ -247,20 +247,15 @@ class CycloField:
 
         return [_pack(v, width) for v in va], [_pack(v, width) for v in vb], back
 
-    def conjugates(self, a: "CycloElem", pairs, power: int = 0) -> list["CycloElem"]:
-        """zeta^t (1 - zeta)^power sigma_u(a) for each (u, t) of `pairs`,
-        sigma_u: zeta -> zeta^u for u prime to n, with no product.
-
-        x -> x^u is an automorphism of Z[x]/(x^n - 1) that maps phi to a
-        multiple of itself, so it acts on the numerator before one
-        reduction: position p of the image takes the coefficient of
-        x^((p - t) u^(-1) mod n), one slice with step u^(-1) of the
-        numerator padded to length n and laid n times over.  Times 1 - x
-        is a cyclic difference.  The differences, unlike sigma_u and the
-        twist, may change the content, so each image is brought to
-        lowest terms."""
+    def _images(self, num, pairs, power: int = 0) -> list[list[int]]:
+        """The reduced vectors x^t (1 - x)^power sigma_u(num) for each (u, t)
+        of `pairs`, with no product.  sigma_u: x -> x^u, u prime to n, is an
+        automorphism of Z[x]/(x^n - 1) that maps phi to a multiple of itself,
+        and position p of an image takes the coefficient of x^((p - t) u^(-1)
+        mod n): one slice of `num`, padded to length n and laid n times over,
+        with step u^(-1).  Times 1 - x is a cyclic difference."""
         n = self.n
-        laps = [*a.num, *repeat(0, n - len(a.num))] * n
+        laps = [*num, *repeat(0, n - len(num))] * n
         out = []
         for u, t in pairs:
             if math.gcd(u, n) != 1:
@@ -270,8 +265,13 @@ class CycloField:
             vec = laps[start:start + n * step:step]
             for _ in range(power):
                 vec = list(map(operator.sub, vec, vec[-1:] + vec[:-1]))
-            out.append(_normalized(self, self._reduce(vec), a.den))
+            out.append(self._reduce(vec))
         return out
+
+    def conjugates(self, a: "CycloElem", pairs, power: int = 0) -> list["CycloElem"]:
+        """zeta^t (1 - zeta)^power sigma_u(a) for each (u, t) of `pairs`, from
+        `_images`, each in lowest terms: a difference may change the content."""
+        return [_normalized(self, vec, a.den) for vec in self._images(a.num, pairs, power)]
 
     def from_rational(self, q) -> "CycloElem":
         q = Fraction(q)

@@ -9,10 +9,10 @@ cyclotomic polynomial once, at the end (`PackedChain`).  Reduction is a
 ring map onto Z[zeta_n], so the value is exactly the one the field
 arithmetic of `cyclotomic` gives step by step.
 
-The exact weights are built in the same ring with no field product
-(`ExactBackend`), as twisted Galois conjugates: x -> x^u, u prime to n,
-is an automorphism of Z[x]/(x^n - 1) that maps the cyclotomic
-polynomial to a multiple of itself.
+The exact rows are lifted into the same ring from the seed powers with
+no field element (`ExactBackend.lift`), as twisted Galois conjugates:
+x -> x^u, u prime to n, is an automorphism of Z[x]/(x^n - 1) that maps
+the cyclotomic polynomial to a multiple of itself.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .cyclotomic import (
-    CycloElem, _common_denominator, _digits, _fold, _normalized, _pack_digits,
-    _unpack, _widen, compensated_sums, get_field,
+    CycloElem, _digits, _fold, _normalized, _pack_digits, _unpack, _widen,
+    compensated_sums, get_field,
 )
 
 
@@ -124,10 +124,10 @@ def enumerate_profile(profile: IndexProfile):
 
 
 Lift = namedtuple("Lift", "den digits size heights norms")
-Lift.__doc__ = """A row of weights w(m) = N_m(zeta) / den, m = 1..n-1, lifted to
-Z[x]/(x^n - 1): the numerator vectors N_m laid down one after another as
-`digits` of `size` bytes (`cyclotomic._digits`), and per N_m the largest
-size of a coefficient and the sum of their sizes."""
+Lift.__doc__ = """A row of weights w(m) = N_m(zeta) / den in lowest terms, m = 1..n-1,
+lifted to Z[x]/(x^n - 1) from the seed powers: the N_m laid down one after
+another as `digits` of `size` bytes (`cyclotomic._digits`), and per N_m
+the largest size of a coefficient and the sum of their sizes."""
 
 
 def _inverse_power(order: int, k: int) -> list[int]:
@@ -159,20 +159,20 @@ class ExactBackend:
     """Value field Q(zeta_n) with q = zeta_n.
 
     The polylogarithm weights (1 - zeta^m)^(-k) and the chain weights
-    q^((k-1)m) / [m]^k are cached in one row per k, filled on demand, as
-    twisted Galois conjugates of one power s_g^k per g = gcd(m, n),
-    s_g = (1 - zeta^g)^(-1).  With u a unit mod n and m = g u mod n,
-    (1 - zeta^m)^(-k) = sigma_u(s_g^k), and since [m] = (1 - zeta^m) /
-    (1 - zeta) the chain weight is zeta^((k-1)m) (1 - zeta)^k sigma_u(s_g^k).
-    Each entry is integer vector operations on the numerator of s_g^k
-    and one reduction, with no field product (`CycloField.conjugates`).
-    Each power is built on first use and kept for both rows, and s_1^w
-    is the scale of `zbar_scale`.  All cached values are immutable.
+    q^((k-1)m) / [m]^k are twisted Galois conjugates of one power s_g^k
+    per g = gcd(m, n), s_g = (1 - zeta^g)^(-1).  With u a unit mod n and
+    m = g u mod n, (1 - zeta^m)^(-k) = sigma_u(s_g^k), and since [m] =
+    (1 - zeta^m) / (1 - zeta) the chain weight is zeta^((k-1)m) (1 - zeta)^k
+    sigma_u(s_g^k).  Each entry is integer vector operations on the
+    numerator of s_g^k and one reduction (`CycloField._images`).  Each
+    power is built on first use and kept for both rows, and s_1^w is the
+    scale of `zbar_scale`.  All cached values are immutable.
 
-    The chain DP reads each row it serves lifted to Z[x]/(x^n - 1), once
-    (`lift`), and packed at the digit width of an evaluation, keeping the
-    last width asked for (`packed_row`); `ring` gives the evaluation's
-    `PackedChain`.
+    The chain DP reads each row lifted to Z[x]/(x^n - 1) straight from the
+    seed powers, with no field element, once (`lift`), and packed at the
+    digit width of an evaluation, keeping the last width asked for
+    (`packed_row`); `ring` gives the evaluation's `PackedChain`.  Rows of
+    field elements are built on demand, one per k, for their readers.
     """
 
     def __init__(self, n: int):
@@ -235,18 +235,34 @@ class ExactBackend:
         w, kept with the seed powers."""
         return self._seed_power(w, 1)
 
+    def _row_vectors(self, k: int, polylog: bool) -> tuple[int, list]:
+        """Row k's numerator vectors over one denominator in lowest terms,
+        with no field element: the images of each s_g^k over the lcm D of
+        their denominators, divided by gcd(D, every coefficient)."""
+        twist, power = (0, 0) if polylog else (k - 1, k)
+        classes = [(self._seed_power(k, g), ms) for g, ms in self._units.items()]
+        den = math.lcm(*[seed.den for seed, _ in classes])
+        vecs = [None] * (self.n - 1)
+        for seed, ms in classes:
+            images = self.field._images(seed.num, [(u, twist * m) for m, u in ms], power)
+            for (m, _), vec in zip(ms, images):
+                vecs[m - 1] = vec if seed.den == den else [c * (den // seed.den) for c in vec]
+        common = math.gcd(den, *itertools.chain.from_iterable(vecs))
+        if common != 1:
+            vecs = [[c // common for c in vec] for vec in vecs]
+        return den // common, vecs
+
     def lift(self, k: int, polylog: bool = False) -> "Lift":
         """Row k of the weights, or of the polylogarithm weights, lifted
-        to Z[x]/(x^n - 1), kept once built."""
+        to Z[x]/(x^n - 1) from the seed powers, kept once built."""
         key = (polylog, k)
         lifted = self._lifts.get(key)
         if lifted is None:
-            row = self.polylog_row(k) if polylog else list(self.weight_row(k))
-            den, vecs = _common_denominator(row)
-            heights = [max(map(abs, v)) for v in vecs]
+            den, vecs = self._row_vectors(k, polylog)
+            sizes = [list(map(abs, v)) for v in vecs]
+            heights = list(map(max, sizes))
             lifted = self._lifts[key] = Lift(
-                den, *_digits(vecs, max(heights, default=0)), heights,
-                [sum(map(abs, v)) for v in vecs])
+                den, *_digits(vecs, max(heights, default=0)), heights, list(map(sum, sizes)))
         return lifted
 
     def packed_row(self, k: int, polylog: bool, width: int) -> list[int]:
@@ -384,17 +400,15 @@ class NumericBackend:
     def weight_row(self, k: int):
         """Yields w_k(m) = q^((k-1)m) / [m]^k for m = 1..n-1.  The phase
         q^((k-1)m mod n) is every (k-1)-th entry of k-1 copies of the
-        table of q^j, stepped through without a copy."""
-        n, qpow = self.n, self._qpow
+        table of q^j, stepped through without a copy.  Row one is read
+        from the table of inverse q-integers, never handed out as it."""
+        inverses = itertools.islice(self._inv_qint, 1, None)
         if k == 1:
-            phases = itertools.repeat(qpow[0], n - 1)
-        else:
-            step = k - 1
-            phases = itertools.islice(
-                itertools.chain.from_iterable(itertools.repeat(qpow, step)),
-                step, step * n, step)
-        powers = map(pow, itertools.islice(self._inv_qint, 1, None), itertools.repeat(k))
-        return map(operator.mul, phases, powers)
+            return inverses
+        step = k - 1
+        phases = itertools.islice(itertools.chain.from_iterable(
+            itertools.repeat(self._qpow, step)), step, step * self.n, step)
+        return map(operator.mul, phases, map(pow, inverses, itertools.repeat(k)))
 
     def running_sums(self, values, inclusive: bool | None, weights=None):
         """Compensated running sums of the list `values`, each times the

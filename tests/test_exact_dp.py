@@ -8,9 +8,13 @@ CycloElem add and one multiply per step, level by level, and
 outermost terms of the same DP, are checked against the former m-major
 recursion in `test_ohno_zagier.py`.
 
-The weight rows the DP reads are twisted Galois conjugates built in
-integer vector operations; their oracle is the former construction, by
-field products from the closed-form inverses of 1 - zeta^m.
+The rows the DP reads are lifted straight from the seed powers
+(1 - zeta^g)^(-k) as twisted Galois conjugates, in integer vector
+operations and with no field element; the element rows are built on
+demand, for callers that read elements, from the same conjugates.  The
+oracle of both is the former construction, by field products from the
+closed-form inverses of 1 - zeta^m, and the former lift of the element
+rows over their common denominator.
 """
 
 import random
@@ -20,16 +24,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmhs.cyclotomic import CycloElem
+from qmhs import mhs
+from qmhs.cyclotomic import CycloElem, _common_denominator, _digits
 from qmhs.mhs import (
     ExactBackend,
     Index,
+    Lift,
     _evaluate,
     brute_force,
     enumerate_indices,
     exact_backend,
     z,
     z_star,
+    zbar,
 )
 from helpers import inv_one_minus_zeta_pow
 
@@ -125,6 +132,58 @@ def test_a_weight_row_takes_no_field_product(monkeypatch, n, k):
     assert row == field_rows(backend, k)[0]
 
 
+def former_lift(row):
+    """The former lift: an element row over its common denominator, each
+    numerator's largest coefficient size and sum of sizes, and the digits."""
+    den, vecs = _common_denominator(row)
+    heights = [max(map(abs, v)) for v in vecs]
+    return Lift(den, *_digits(vecs, max(heights, default=0)), heights,
+                [sum(map(abs, v)) for v in vecs])
+
+
+LIFT_LEVELS = [*range(1, 61), 64, 97, 128, 193]
+
+
+@pytest.mark.parametrize("n", LIFT_LEVELS)
+def test_lift_from_the_seed_powers_matches_the_former_lift(n):
+    """Primes, prime powers (2^7 among them) and every n up to 60 that
+    reduces by long division, with k >= n from n = 9 down."""
+    backend = ExactBackend(n)
+    for k in range(1, 10):
+        weights, polylog = field_rows(backend, k)
+        assert backend.lift(k) == former_lift(weights), k
+        assert backend.lift(k, polylog=True) == former_lift(polylog), k
+
+
+# the calls of the exact-high-degree benchmark workload at each level
+HIGH_DEGREE_CALLS = [("z", (1, 2, 3)), ("z", (2,)), ("z_star", (2,)), ("zbar", (2, 2)),
+                     ("z_star", (3, 1, 2)), ("zbar", (2, 1, 1, 3))]
+
+
+@pytest.mark.parametrize("n", (41, 49))
+def test_the_chain_dp_builds_no_element_row(monkeypatch, n):
+    """z, z_star and zbar on a fresh backend read every row lifted from
+    the seed powers, and build no row of field elements."""
+    backend = ExactBackend(n)
+    monkeypatch.setattr(mhs, "exact_backend", lambda level: backend)
+    mhs._zbar_cached.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("no element row is expected in the chain DP")
+
+    monkeypatch.setattr(ExactBackend, "_conjugates", refuse)
+    calls = {"z": z, "z_star": z_star, "zbar": zbar}
+    got = [calls[fn](Index(parts), n) for fn, parts in HIGH_DEGREE_CALLS]
+    monkeypatch.undo()
+    mhs._zbar_cached.cache_clear()
+    oracle = ExactBackend(n)
+    for (fn, parts), value in zip(HIGH_DEGREE_CALLS, got):
+        want = field_dp(parts, oracle, fn == "z_star")
+        if fn == "zbar":
+            want = want * oracle.zbar_scale(sum(parts))
+        assert value == want, (fn, parts)
+
+
 class _GivenRows(ExactBackend):
     """An exact backend whose weight rows are given."""
 
@@ -134,6 +193,9 @@ class _GivenRows(ExactBackend):
 
     def weight_row(self, k):
         return iter(self.rows[k])
+
+    def _row_vectors(self, k, polylog):
+        return _common_denominator(self.rows[k])
 
 
 def _extreme_row(field, n, value):

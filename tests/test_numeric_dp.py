@@ -318,6 +318,19 @@ def test_weight_rows_are_bit_identical_to_indexed_products(n):
         assert [_hex(w) for w in backend.weight_row(k)] == [_hex(w) for w in former], k
 
 
+def test_row_one_is_bit_identical_to_indexed_products():
+    """Row one reads the inverse q-integers without the factor q^0 and the
+    power 1, which leave these values bit for bit as they are, and never
+    hands out the table, which the running sums would write over."""
+    for n in [*range(1, 301), 2**15]:
+        backend = NumericBackend(n)
+        qpow, inv = backend._qpow, backend._inv_qint
+        former = [qpow[0] * inv[m] ** 1 for m in range(1, n)]
+        row = backend.weight_row(1)
+        assert row is not inv
+        assert [_hex(w) for w in row] == [_hex(w) for w in former], n
+
+
 def _z_numeric_peak_beyond_one_row(n: int) -> int:
     index = Index((2, 1, 3))
     z_numeric(index, n)  # builds and caches the backend of level n
