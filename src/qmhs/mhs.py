@@ -119,10 +119,6 @@ def enumerate_indices(weight: int, depth: int, height: int | None = None):
     return out
 
 
-def enumerate_profile(profile: IndexProfile):
-    return enumerate_indices(profile.weight, profile.depth, profile.height)
-
-
 Lift = namedtuple("Lift", "den digits size heights norms")
 Lift.__doc__ = """A row of weights w(m) = N_m(zeta) / den in lowest terms, m = 1..n-1,
 lifted to Z[x]/(x^n - 1) from the seed powers: the N_m laid down one after
@@ -165,8 +161,8 @@ class ExactBackend:
     (1 - zeta^m) / (1 - zeta) the chain weight is zeta^((k-1)m) (1 - zeta)^k
     sigma_u(s_g^k).  Each entry is integer vector operations on the
     numerator of s_g^k and one reduction (`CycloField._images`).  Each
-    power is built on first use and kept for both rows, and s_1^w is the
-    scale of `zbar_scale`.  All cached values are immutable.
+    power is built on first use and kept for both rows; s_1^w scales a
+    modified value of weight w.  All cached values are immutable.
 
     The chain DP reads each row lifted to Z[x]/(x^n - 1) straight from the
     seed powers, with no field element, once (`lift`), and packed at the
@@ -230,11 +226,6 @@ class ExactBackend:
         shared, so callers must not write to it."""
         return self._conjugates(k, False)
 
-    def zbar_scale(self, w: int) -> CycloElem:
-        """(1 - zeta)^(-w) = s_1^w, the scale of a modified value of weight
-        w, kept with the seed powers."""
-        return self._seed_power(w, 1)
-
     def _row_vectors(self, k: int, polylog: bool) -> tuple[int, list]:
         """Row k's numerator vectors over one denominator in lowest terms,
         with no field element: the images of each s_g^k over the lcm D of
@@ -281,10 +272,11 @@ class ExactBackend:
         return PackedChain(self, parts, polylog)
 
 
-# Levels take widths of their own from this n up.  Below it, widening the
-# terms costs about what the narrower products save, or more: with them,
-# four warm evaluations took 14-43% longer at n = 9, 15 and 20, the same
-# at n = 31 and 41, and 13%, 25% and 30% less at n = 49, 97 and 193.
+# Levels take widths of their own from this n up.  Warm z((3, 2, 1)) with
+# them took 30-43% longer at n = 9, 15 and 20 and 12% longer at n = 31
+# than with the total width at every level, and 7%, 12%, 27% and 38% less
+# at n = 41, 49, 97 and 193.  Cold, on exact-high-degree (n = 41 and 49),
+# the total width reads item_ms.p50 -6.7% but wall_s +1.1% (10 pairs).
 _PER_LEVEL_N = 40
 
 
@@ -461,10 +453,10 @@ def _outer_terms(parts: tuple, ring, star: bool) -> list:
 def _evaluate(index: Index, n: int, backend, star: bool):
     """Shared chain DP: the total of the outermost level's terms.  Cost is
     O(n * depth) ring operations."""
+    if backend.n != n:
+        raise ValueError(f"backend is at level {backend.n}, not n = {n}")
     if index.depth == 0:
         return backend.one
-    if n < 1:
-        raise ValueError("n must be a positive integer")
     ring = backend.ring(index.parts)
     terms = _outer_terms(index.parts, ring, star)
     return ring.running_sums(terms, None)
@@ -472,14 +464,16 @@ def _evaluate(index: Index, n: int, backend, star: bool):
 
 def z(index: Index, n: int, backend=None):
     """Nested sum over strict chains n > m_1 > ... > m_r > 0 of
-    prod q^((k_i - 1) m_i) / [m_i]^(k_i).  Exact backend by default."""
+    prod q^((k_i - 1) m_i) / [m_i]^(k_i).  Exact backend by default; a
+    backend of another level than n raises ValueError."""
     if backend is None:
         backend = exact_backend(n)
     return _evaluate(index, n, backend, star=False)
 
 
 def z_star(index: Index, n: int, backend=None):
-    """Same with non-strict chains n > m_1 >= ... >= m_r > 0."""
+    """Same with non-strict chains n > m_1 >= ... >= m_r > 0; a backend of
+    another level than n raises ValueError."""
     if backend is None:
         backend = exact_backend(n)
     return _evaluate(index, n, backend, star=True)
@@ -491,12 +485,7 @@ def z_star(index: Index, n: int, backend=None):
 def _zbar_cached(parts: tuple, n: int, star: bool) -> CycloElem:
     index = Index(parts)
     backend = exact_backend(n)
-    value = _evaluate(index, n, backend, star)
-    if n == 1:
-        # 1 - zeta_1 = 0; every nonempty sum is empty, so the modified
-        # value is 0 (and 1 for the empty index), matching all closed forms.
-        return value
-    return value * backend.zbar_scale(index.weight)
+    return _evaluate(index, n, backend, star) * backend._seed_power(index.weight, 1)
 
 
 def zbar(index: Index, n: int) -> CycloElem:
@@ -518,7 +507,7 @@ def profile_sum(profile: IndexProfile, n: int, star: bool = False) -> Fraction:
     """
     field = get_field(n)
     acc = field.zero
-    for ix in enumerate_profile(profile):
+    for ix in enumerate_indices(*profile):
         acc = acc + _zbar_cached(ix.parts, n, star)
     return acc.rational_part()
 

@@ -8,7 +8,6 @@ from qmhs.mhs import (
     IndexProfile,
     brute_force,
     enumerate_indices,
-    enumerate_profile,
     exact_backend,
     numeric_backend,
     profile_sum,
@@ -54,8 +53,8 @@ def test_enumerate_admissible_and_profile():
     adm = [ix for ix in enumerate_indices(4, 2) if ix.admissible]
     assert [ix.parts for ix in adm] == [(3, 1), (2, 2)]
     prof = IndexProfile(4, 2, 1)
-    assert {ix.parts for ix in enumerate_profile(prof)} == {(3, 1), (1, 3)}
-    assert enumerate_profile(IndexProfile(3, 1, 0)) == []
+    assert {ix.parts for ix in enumerate_indices(*prof)} == {(3, 1), (1, 3)}
+    assert enumerate_indices(*IndexProfile(3, 1, 0)) == []
 
 
 def test_z_examples():
@@ -92,6 +91,35 @@ def test_zbar_examples():
     assert zbar(Index((2,)), 4).rational_part() == Fraction(-5, 4)
     assert zbar(Index((3,)), 2).rational_part() == Fraction(1, 8)
     assert not zbar(Index((2, 1)), 1)
+
+
+def test_modified_values_at_level_one():
+    """1 - zeta_1 = 0, so every nonempty chain sum at n = 1 is empty: the
+    modified values are 1 for the empty index and 0 for every other."""
+    one = get_field(1).one
+    assert zbar(Index(()), 1) == one and zbar_star(Index(()), 1) == one
+    for w in range(1, 6):
+        for r in range(1, w + 1):
+            for ix in enumerate_indices(w, r):
+                assert not zbar(ix, 1), ix
+                assert not zbar_star(ix, 1), ix
+
+
+@pytest.mark.parametrize("make", [exact_backend, numeric_backend])
+@pytest.mark.parametrize("parts", [(), (2,), (2, 1)])
+def test_a_backend_of_another_level_is_refused(make, parts):
+    """The level of a value is its backend's: `z` and `z_star` refuse a
+    backend built at another level, and give the default's values at
+    its own."""
+    for fn in (z, z_star):
+        for n, other in ((7, 8), (7, 5), (1, 2)):
+            with pytest.raises(ValueError, match=f"level {other}, not n = {n}"):
+                fn(Index(parts), n, make(other))
+        value = fn(Index(parts), 7, make(7))
+        if make is exact_backend:
+            assert value == fn(Index(parts), 7)
+        else:
+            assert abs(value - fn(Index(parts), 7).complex_value()) < 1e-12
 
 
 def test_constant_index_values_are_rational():
@@ -168,13 +196,13 @@ def test_zbar_scale_is_built_once_per_weight(monkeypatch):
                 return original(a, b)
 
             monkeypatch.setattr(CycloElem, name, counting)
-        scales = [backend.zbar_scale(w) for w in weights]
+        scales = [backend._seed_power(w, 1) for w in weights]
         monkeypatch.undo()
         assert products == [], n
         assert scales == targets, n
         for w, scale in zip(weights, scales):
             for index in (Index((w,)), Index.repeat(1, w)):
                 assert zbar(index, n) == z(index, n) * scale, (n, index)
-        assert all(backend.zbar_scale(w) is scale for w, scale in zip(weights, scales)), n
+        assert all(backend._seed_power(w, 1) is scale for w, scale in zip(weights, scales)), n
     mhs._zbar_cached.cache_clear()
     mhs.exact_backend.cache_clear()

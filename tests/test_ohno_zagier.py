@@ -474,6 +474,12 @@ def test_f_series_cache_is_bounded():
     assert f_series.cache_info().maxsize is not None
 
 
+@pytest.mark.parametrize("star", (False, True))
+def test_f_series_refuses_level_zero(star):
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
+        f_series(0, 3, star)
+
+
 def test_f_series_call_forms_share_one_cache_entry():
     f_series.cache_clear()
     first = f_series(7, 5)
