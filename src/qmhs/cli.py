@@ -2,10 +2,10 @@
 emit tables, and probe the conjectured identities.
 
 Exit codes: 0 all passed, 1 verification failure, 2 invalid input (an
-exact `compute` above `EXACT_N_MAX` or `EXACT_WEIGHT_MAX`, a numeric one
-above `NUMERIC_N_MAX`, `verify`, `conjecture` and `table` above their
-ceilings included) or a numeric overflow, 3 output I/O failure, 4 out of
-memory, 130 interrupted.
+exact `compute` above `EXACT_N_MAX`, `EXACT_WEIGHT_MAX` or `EXACT_COST_MAX`,
+a numeric one above `NUMERIC_N_MAX` or `NUMERIC_COST_MAX`, `verify`,
+`conjecture` and `table` above their ceilings included) or a numeric
+overflow, 3 output I/O failure, 4 out of memory, 130 interrupted.
 Each error prints one `error:` line to stderr and no traceback.  Exact
 values are always serialized as strings; JSON numbers cannot carry big
 rationals losslessly.
@@ -16,11 +16,12 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 
 from .closedforms import conjecture_check, depth_one_bar, kkk_general
 from .cyclotomic import render_cyclo
-from .mhs import Index, zbar, zbar_star, z, z_star
+from .mhs import Index, numeric_backend, zbar, zbar_star, z, z_star
 from .report import FAIL, VerificationReport
 from .suites import POLYLOG_CAP_MAX, SUITES, default_parallelism, run_suite
 from .xi import tilde_u
@@ -37,17 +38,21 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 # 94 MB, growing as n^2 in memory and faster in time.
 EXACT_N_MAX = 1000
 
-# The largest weight `compute` evaluates exactly.  Memory grows with the
-# weight, which bounds both the largest part and the depth: at --n 1000,
-# (64) took 6.5 s and 211 MB, (200) 27 s and 485 MB, and (21, 21, 22),
-# the most of the weight-64 shapes measured, 41 s and 502 MB.  The ceiling
-# bounds memory, not time: depth costs time faster than weight, so
-# {8}^8 took 113 s there, and {1}^64 at --n 400 took 109 s in 114 MB.
+# The largest weight, and n^2 * weight * depth, `compute` evaluates exactly.
+# Memory grows with the weight, which bounds both the largest part and the
+# depth: at --n 1000, (64) took 6.5 s and 211 MB, (200) 27 s and 485 MB,
+# and (21, 21, 22), the most of the weight-64 shapes measured, 41 s and
+# 502 MB.  Time grows with the cost n^2 * weight * depth, 1.0-2.3e-7 s a
+# unit at --n 1000; at its ceiling, {8}^8 at --n 1000 took 100 s.
 EXACT_WEIGHT_MAX = 64
+EXACT_COST_MAX = 1000**2 * 64 * 8
 
-# The largest level `compute` evaluates in double precision.  The numeric
-# backend holds about 120 bytes a level: --n 2^22 took 8.6 s and 498 MB.
+# The largest level, and n * depth, `compute` evaluates in double precision.
+# The numeric backend holds about 120 bytes a level: --n 2^22 took 8.6 s
+# and 498 MB.  Time grows with n * depth: at --n 2^20, depth 8 took 6.0 s
+# and depth 32 17.5 s; at the ceiling, depth 8 at --n 2^22 took 18.5 s.
 NUMERIC_N_MAX = 2**22
+NUMERIC_COST_MAX = 8 * NUMERIC_N_MAX
 
 # The largest `--n-max`, `--cap` and `--k-max` that `verify` takes.  A
 # suite's cost grows polynomially in n: `thm11 --n-max 100` took 10 s,
@@ -83,8 +88,6 @@ def _write_output(text: str, path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
-    import os
-
     try:
         parent = os.path.dirname(path)
         if parent:
@@ -99,21 +102,6 @@ class _IOFailure(Exception):
     pass
 
 
-def _reports_text(reports: list[VerificationReport]) -> str:
-    lines = []
-    for r in reports:
-        params = " ".join(f"{k}={v}" for k, v in r.params.items())
-        lines.append(f"[{r.status}] {r.suite} {params} ({r.micros} us)")
-        if r.status == FAIL:
-            lines.append(f"    lhs: {r.lhs}")
-            lines.append(f"    rhs: {r.rhs}")
-    return "\n".join(lines) + "\n"
-
-
-def _reports_json(reports: list[VerificationReport]) -> str:
-    return json.dumps([r.as_dict() for r in reports], indent=2)
-
-
 def _csv(header: list, rows) -> str:
     import csv
 
@@ -124,18 +112,21 @@ def _csv(header: list, rows) -> str:
     return buf.getvalue()
 
 
-def _reports_csv(reports: list[VerificationReport]) -> str:
-    rows = ([r.suite, json.dumps(r.params, sort_keys=True), r.status, r.lhs, r.rhs, r.micros]
-            for r in reports)
-    return _csv(["suite", "params", "status", "lhs", "rhs", "micros"], rows)
-
-
-def _format_reports(reports, fmt: str) -> str:
+def _format_reports(reports: list[VerificationReport], fmt: str) -> str:
     if fmt == "json":
-        return _reports_json(reports)
+        return json.dumps([r.as_dict() for r in reports], indent=2)
     if fmt == "csv":
-        return _reports_csv(reports)
-    return _reports_text(reports)
+        rows = ([r.suite, json.dumps(r.params, sort_keys=True), r.status, r.lhs, r.rhs,
+                 r.micros] for r in reports)
+        return _csv(["suite", "params", "status", "lhs", "rhs", "micros"], rows)
+    lines = []
+    for r in reports:
+        params = " ".join(f"{k}={v}" for k, v in r.params.items())
+        lines.append(f"[{r.status}] {r.suite} {params} ({r.micros} us)")
+        if r.status == FAIL:
+            lines.append(f"    lhs: {r.lhs}")
+            lines.append(f"    rhs: {r.rhs}")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_compute(args) -> int:
@@ -146,9 +137,11 @@ def cmd_compute(args) -> int:
         if args.n > NUMERIC_N_MAX:
             raise ValueError(f"--n {args.n} is above {NUMERIC_N_MAX}, the largest level "
                              "of the numeric backend")
+        cost = args.n * index.depth
+        if cost > NUMERIC_COST_MAX:
+            raise ValueError(f"n * depth is {cost}, above {NUMERIC_COST_MAX}, the most the "
+                             "numeric backend takes")
         fn = z_star if args.star else z
-        from .mhs import numeric_backend
-
         value = fn(index, args.n, numeric_backend(args.n))
         print(render_complex(value))
         return EXIT_OK
@@ -157,6 +150,10 @@ def cmd_compute(args) -> int:
                          "exact backend; use --backend numeric")
     if index.weight > EXACT_WEIGHT_MAX:
         raise ValueError(f"weight {index.weight} is above {EXACT_WEIGHT_MAX}, the largest "
+                         "the exact backend takes")
+    cost = max(args.n, 0) ** 2 * index.weight * index.depth
+    if cost > EXACT_COST_MAX:
+        raise ValueError(f"n^2 * weight * depth is {cost}, above {EXACT_COST_MAX}, the most "
                          "the exact backend takes")
     if args.modified:
         value = (zbar_star if args.star else zbar)(index, args.n)
@@ -228,17 +225,16 @@ def _table_rows(args) -> tuple[list[str], list[list]]:
                 v = zbar(Index.repeat(args.k, r), n).rational_part()
                 rows.append([n, r, v.numerator, v.denominator])
         return header, rows
-    if kind == "tildeU":
-        kernel = tilde_u(args.cap)
-        header = ["k", "r", "s", "numerator", "denominator"]
-        rows = []
-        for (ex, ey, ez) in sorted(kernel.coeffs):
-            k, r, s = ex + ey + 2 * ez, ey + ez, ez
-            v = kernel.coeffs[(ex, ey, ez)]
-            rows.append([k, r, s, v.numerator, v.denominator])
-        rows.sort()
-        return header, rows
-    raise ValueError(f"unknown table kind: {kind}")
+    # tildeU, the last kind argparse's choices let through
+    kernel = tilde_u(args.cap)
+    header = ["k", "r", "s", "numerator", "denominator"]
+    rows = []
+    for (ex, ey, ez) in sorted(kernel.coeffs):
+        k, r, s = ex + ey + 2 * ez, ey + ez, ez
+        v = kernel.coeffs[(ex, ey, ez)]
+        rows.append([k, r, s, v.numerator, v.denominator])
+    rows.sort()
+    return header, rows
 
 
 def cmd_table(args) -> int:

@@ -184,10 +184,8 @@ class CycloField:
     """
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("n must be a positive integer")
         self.n = n
-        self.phi = cyclotomic_polynomial(n)
+        self.phi = cyclotomic_polynomial(n)  # raises for n < 1
         d = self.degree = self.phi.degree
         # phi = x^d + sum of p_i x^i; only the nonzero p_i (integers) matter
         self._phi_tail = tuple(

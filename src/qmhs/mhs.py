@@ -48,7 +48,7 @@ class Index:
 
     @classmethod
     def parse(cls, text: str) -> "Index":
-        return cls(int(p) for p in text.split(",") if p.strip())
+        return cls(int(p) for p in text.split(",")) if text.strip() else cls(())
 
     @classmethod
     def repeat(cls, k: int, r: int) -> "Index":
@@ -516,8 +516,6 @@ def brute_force(index: Index, n: int, star: bool = False):
     """Direct enumeration of all chains; the independent oracle for the DP."""
     backend = exact_backend(n)
     r = index.depth
-    if r == 0:
-        return backend.one
     rows = {k: [None, *backend.weight_row(k)] for k in set(index.parts)}
     chains = (
         itertools.combinations_with_replacement(range(1, n), r)

@@ -20,6 +20,7 @@ pack and an unpack.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_right
 from fractions import Fraction
 from math import factorial
@@ -241,14 +242,10 @@ def ms_substitute(f: MultiSeries, u_expr: MultiSeries, v_expr: MultiSeries,
             raise ValueError(
                 f"substitution image for {name} has valuation below weight {wt}"
             )
-    one = MultiSeries.constant(1, cap, field)
-    pow_cache: list[dict[int, MultiSeries]] = [{0: one}, {0: one}, {0: one}]
 
+    @functools.cache
     def power(slot: int, e: int) -> MultiSeries:
-        cache = pow_cache[slot]
-        if e not in cache:
-            cache[e] = power(slot, e - 1) * images[slot]
-        return cache[e]
+        return power(slot, e - 1) * images[slot] if e else MultiSeries.constant(1, cap, field)
 
     # f = sum_a U^a sum_b V^b (sum_c f_abc W^c): one product per (a, b) and per a
     in_w: dict = {}

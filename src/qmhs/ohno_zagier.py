@@ -96,10 +96,8 @@ def f_bruteforce(n: int, cap: int, star: bool = False) -> MultiSeries:
     for k in range(0, cap + 1):
         for r in range(0, k + 1):
             for s in range(0, r + 1):
-                if k < r + s or (r == 0 and k > 0):
-                    continue
                 value = profile_sum(IndexProfile(k, r, s), n, star)
-                if value:  # x^(k-r-s) y^(r-s) z^s has weight k <= cap
+                if value:  # an empty profile (k < r + s, or r = 0 < k) sums to 0
                     coeffs[(k - r - s, r - s, s)] = value
     return MultiSeries(RATIONALS, cap, coeffs)
 
@@ -323,13 +321,10 @@ def lemma_3_2_rows(n: int, weight_cap: int) -> Iterator[VerificationReport]:
     it."""
     field = get_field(n)
     geom = Poly([field.one] * (n - 1), field)  # (1 - t^(n-1)) / (1 - t)
-    seen: dict = {}
 
-    def pl(index: Index, star: bool) -> Poly:
-        key = (index.parts, star)
-        if key not in seen:
-            seen[key] = polylog(index, n, star)
-        return seen[key]
+    @functools.cache
+    def pl(parts: tuple, star: bool) -> Poly:
+        return polylog(Index(parts), n, star)
 
     def render(p: Poly) -> str:
         return " ; ".join(str(c) for c in p.coeffs) if p else "0"
@@ -338,17 +333,16 @@ def lemma_3_2_rows(n: int, weight_cap: int) -> Iterator[VerificationReport]:
         for r in range(1, k + 1):
             for ix in enumerate_indices(k, r):
                 for star in (False, True):
-                    lhs = dq(pl(ix, star))
+                    lhs = dq(pl(ix.parts, star))
                     if ix.parts[0] >= 2:
-                        lowered = Index((ix.parts[0] - 1,) + ix.parts[1:])
-                        rhs = pl(lowered, star).div_t_exact()
+                        rhs = pl((ix.parts[0] - 1,) + ix.parts[1:], star).div_t_exact()
                     elif star and r == 1:
                         rhs = geom
                     else:
                         # the non-strict case carries t^n, not t^(n-1): the
                         # partial sums telescope one step further because
                         # m_2 = m_1 is allowed
-                        lr = pl(Index(ix.parts[1:]), star)
+                        lr = pl(ix.parts[1:], star)
                         num = lr - Poly.monomial(n - 1 + star, lr.at_one(), field)
                         rhs = num.div_one_minus_t_exact()
                         if star:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -156,6 +157,121 @@ def test_numeric_compute_ceiling_is_inclusive(capsys, monkeypatch):
     assert code == 0 and out.strip().endswith("i")
     code, out, _ = run_cli(capsys, "compute", "--index", "2", "--n", "1025", "--backend", "numeric")
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("flags", ((), ("--modified",), ("--star",)))
+@pytest.mark.parametrize("index,n", (("8,8,8,8,8,8,8,7,1", 1000), (",".join(["1"] * 64), 400)))
+def test_exact_compute_above_the_cost_ceiling_is_input_error(capsys, flags, index, n):
+    """Inside the level and weight ceilings, refused before any field or
+    backend is built."""
+    from qmhs import cli
+    from qmhs.mhs import exact_backend
+
+    parts = [int(p) for p in index.split(",")]
+    cost = n**2 * sum(parts) * len(parts)
+    assert n <= cli.EXACT_N_MAX and sum(parts) <= cli.EXACT_WEIGHT_MAX < cost
+    built = get_field.cache_info().misses, exact_backend.cache_info().misses
+    code, out, err = run_cli(capsys, "compute", "--index", index, "--n", str(n), *flags)
+    assert (code, out) == (2, "")
+    assert err == (f"error: n^2 * weight * depth is {cost}, above {cli.EXACT_COST_MAX}, "
+                   "the most the exact backend takes\n")
+    assert (get_field.cache_info().misses, exact_backend.cache_info().misses) == built
+
+
+def test_exact_compute_cost_ceiling_is_inclusive(capsys, monkeypatch):
+    from qmhs import cli
+
+    monkeypatch.setattr(cli, "EXACT_COST_MAX", 4**2 * 2 * 1)
+    code, out, _ = run_cli(capsys, "compute", "--index", "2", "--n", "4")
+    assert code == 0 and out.strip() == "5/2*z"
+    for argv in (("2", "--n", "5"), ("1,2", "--n", "4"), ("3", "--n", "4", "--modified")):
+        code, out, _ = run_cli(capsys, "compute", "--index", *argv)
+        assert code == 2 and out == ""
+    code, out, _ = run_cli(capsys, "compute", "--index", "2", "--n", "5", "--backend", "numeric")
+    assert code == 0
+
+
+@pytest.mark.parametrize("star", ((), ("--star",)))
+def test_numeric_compute_above_the_cost_ceiling_is_input_error(capsys, star):
+    """Inside the level ceiling, refused before the backend's tables are
+    built."""
+    from qmhs import cli
+    from qmhs.mhs import numeric_backend
+
+    n = cli.NUMERIC_N_MAX
+    depth = cli.NUMERIC_COST_MAX // n + 1
+    built = numeric_backend.cache_info().misses
+    code, out, err = run_cli(capsys, "compute", "--index", ",".join(["2"] * depth),
+                             "--n", str(n), "--backend", "numeric", *star)
+    assert (code, out) == (2, "")
+    assert err == (f"error: n * depth is {n * depth}, above {cli.NUMERIC_COST_MAX}, the most "
+                   "the numeric backend takes\n")
+    assert numeric_backend.cache_info().misses == built
+
+
+def test_numeric_compute_cost_ceiling_is_inclusive(capsys, monkeypatch):
+    from qmhs import cli
+
+    monkeypatch.setattr(cli, "NUMERIC_COST_MAX", 2048)
+    code, out, _ = run_cli(capsys, "compute", "--index", "1,2", "--n", "1024", "--backend", "numeric")
+    assert code == 0 and out.strip().endswith("i")
+    for argv in (("1,2", "--n", "1025"), ("1,1,2", "--n", "1024")):
+        code, out, _ = run_cli(capsys, "compute", "--index", *argv, "--backend", "numeric")
+        assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("index", ("2,,1", ",", "2,", ",2", " , "))
+@pytest.mark.parametrize("backend", ("exact", "numeric"))
+def test_index_with_an_empty_part_is_input_error(capsys, index, backend):
+    code, out, err = run_cli(capsys, "compute", "--index", index, "--n", "5",
+                             "--backend", backend)
+    assert (code, out) == (2, "")
+    empty = next(p for p in index.split(",") if not p.strip())
+    assert err == f"error: invalid literal for int() with base 10: {empty!r}\n"
+
+
+@pytest.mark.parametrize("index", ("", " ", "  "))
+def test_blank_index_is_the_empty_index(capsys, index):
+    code, out, _ = run_cli(capsys, "compute", "--index", index, "--n", "5", "--star")
+    assert (code, out) == (0, "1\n")
+
+
+def _readme_ceiling_rows():
+    """(flag, ceiling, constants) of each row of README.md's ceilings table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = []
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and re.fullmatch(r"`(cli|suites)\.\w+`.*", cells[3]):
+            flag = re.search(r"`([^`]*)`", cells[1])
+            ceiling = int(re.match(r"\d+", cells[2]).group())
+            names = re.findall(r"`((?:cli|suites)\.\w+)`", cells[3])
+            rows.append((flag and flag.group(1), ceiling, names))
+    return rows
+
+
+def test_readme_ceilings_table_shows_each_constant():
+    """Every row that names `cli.X` or `suites.X` shows that constant's
+    value (for `cli.TABLE_CEILINGS`, the value of the row's flag), and
+    every ceiling constant has a row."""
+    from qmhs import cli, suites
+
+    modules = {"cli": cli, "suites": suites}
+    rows = _readme_ceiling_rows()
+    named = set()
+    for flag, ceiling, names in rows:
+        for name in names:
+            module, attr = name.split(".")
+            value = getattr(modules[module], attr)
+            if isinstance(value, dict):
+                value = value[flag]
+            assert value == ceiling, (name, flag, ceiling)
+            named.add(name)
+    ceilings = {f"{name}.{a}" for name, m in modules.items() for a in vars(m)
+                if a.endswith("_MAX") and not (m is cli and hasattr(suites, a))}
+    assert ceilings | {"cli.TABLE_CEILINGS"} <= named
+    assert {flag for flag, _, names in rows if "cli.TABLE_CEILINGS" in names} == set(
+        cli.TABLE_CEILINGS)
 
 
 @pytest.mark.parametrize("suite,flag,ceiling", [

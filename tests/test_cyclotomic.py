@@ -6,6 +6,7 @@ import pytest
 
 from qmhs.cyclotomic import (
     CycloElem,
+    CycloField,
     cyclotomic_polynomial,
     get_field,
     parse_cyclo,
@@ -130,6 +131,14 @@ def test_small_n_degenerate_fields():
     f2 = get_field(2)
     assert f2.zeta == -f2.one
     assert q_integer(1, f2) == f2.one
+
+
+@pytest.mark.parametrize("make", (
+    lambda: get_field(0), lambda: get_field(-3), lambda: CycloField(0),
+), ids=("get_field(0)", "get_field(-3)", "CycloField(0)"))
+def test_non_positive_level_raises(make):
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
+        make()
 
 
 def test_render_parse_roundtrip():

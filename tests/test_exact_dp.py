@@ -80,6 +80,13 @@ def test_packed_dp_matches_brute_force(n):
         assert z_star(ix, n) == brute_force(ix, n, star=True), ix
 
 
+@pytest.mark.parametrize("n", (1, 2, 5))
+@pytest.mark.parametrize("star", (False, True))
+def test_brute_force_of_the_empty_index_is_one(n, star):
+    """Depth 0 has one chain, the empty one, whose term is the empty product."""
+    assert brute_force(Index(()), n, star) == exact_backend(n).one
+
+
 def test_rows_are_lifted_once_and_packed_at_one_width():
     backend = ExactBackend(9)
     lifted = backend.lift(2)

@@ -5,7 +5,7 @@ import pytest
 
 from qmhs.exactnum import bernoulli
 from qmhs.mhs import Index, enumerate_indices, z, z_star, exact_backend, numeric_backend
-from qmhs.suites import _XI_TARGETS
+from qmhs.suites import _XI_TARGETS, _xi_numeric_instance
 from qmhs.xi import (
     XiClosed,
     closed_form_target,
@@ -69,9 +69,10 @@ def test_sum_formula_is_depth_one_limits_weighted_by_inverse_factorials():
 
 
 def test_xi_numeric_targets_are_the_closed_forms():
-    """The limits the xi-numeric rows display are the closed forms."""
-    for index, limit, _ in _XI_TARGETS:
-        assert abs(closed_form_target(index).complex_value() - limit) < 1e-12, index
+    """The xi-numeric rows display their closed-form limits, the zero
+    limit of (3) as 0.000000, not -0.000000."""
+    rows = [row for index, bound in _XI_TARGETS for row in _xi_numeric_instance(index, bound)]
+    assert [row.rhs for row in rows] == ["3.289868", "-6.579736", "0.000000"]
 
 
 def test_kernel_low_coefficients():
