@@ -3,7 +3,7 @@
 An element is an integer coefficient vector over one positive common
 denominator, reduced modulo the n-th cyclotomic polynomial and kept in
 lowest terms, so representation is unique and equality is structural.
-Division is total on nonzero elements because the modulus is irreducible.
+Every nonzero element has an `inverse` because the modulus is irreducible.
 
 The modulus is monic with integer coefficients, so a product is reduced
 in integers alone.  Products are taken by Kronecker substitution: both
@@ -44,7 +44,6 @@ from itertools import accumulate, chain, islice, repeat
 from .exactnum import ONE, Poly
 
 
-@functools.lru_cache(maxsize=256)
 def cyclotomic_polynomial(n: int) -> Poly:
     """n-th cyclotomic polynomial; for n > 1 the product over d | n of
     (1 - x^d)^mu(n/d), taken in integers modulo x^(n+1)."""
@@ -472,9 +471,6 @@ class CycloElem:
         for image in field.conjugates(self, units):
             cof = cof * image
         return cof * field.from_rational(1 / (self * cof).rational_part())
-
-    def __truediv__(self, other: "CycloElem") -> "CycloElem":
-        return self * other.inverse()
 
     def __pow__(self, e: int) -> "CycloElem":
         if e < 0:

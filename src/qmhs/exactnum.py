@@ -240,22 +240,6 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r}, {self.field!r})"
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*x" if c != 1 else "x")
-            else:
-                parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended Euclidean algorithm: returns (s, t, g) with s*a + t*b = g."""

@@ -43,10 +43,6 @@ class VerificationReport:
     def __reduce__(self):
         return VerificationReport, _values(self)
 
-    @property
-    def passed(self) -> bool:
-        return self.status != FAIL
-
     def as_dict(self) -> dict:
         """The fields in order; only `params` is copied."""
         return dict(zip(_FIELDS, _values(self)), params=dict(self.params))

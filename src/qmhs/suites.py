@@ -1,13 +1,14 @@
 """Named verification suites driven by the command line.
 
-Each suite enumerates instances deterministically, evaluates them (in
-order, or on a worker pool that preserves order), and yields the report
-rows of each instance.  Workers share nothing mutable; per-process caches
-are rebuilt on demand.
+A suite is a list of `(fn, args)` tasks in report order, one per level
+wherever a level's rows share work (its field, backend and `f_series`),
+and `all` concatenates the other suites' lists.  A run evaluates one
+list, in order or on at most one worker pool, which preserves order.
+Workers share nothing mutable; per-process caches are rebuilt on demand.
 
 `_timed` is the one place that reads a clock.  A row's `micros` is its
-lap within its instance: the wall time since the instance's previous row
-was produced, or since the instance began for its first row, measured in
+lap within its task: the wall time since the task's previous row was
+produced, or since the task began for its first row, measured in
 the process that evaluated it.  Rows from direct library calls
 (`verify_theorem_1_2`, `verify_prop_3_3`, ...) and the conjecture probes
 carry 0.
@@ -15,7 +16,6 @@ carry 0.
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 from collections.abc import Iterator
@@ -47,9 +47,11 @@ _XI_TARGETS = (
 )
 
 
-def _thm11_instance(n, k, r) -> list[VerificationReport]:
-    lhs = zbar(Index.repeat(k, r), n).rational_part()
-    return [compare("thm-kkk", {"n": n, "k": k, "r": r}, lhs, kkk_closed(k, r, n))]
+def _thm11_level(n, k_max, r_max) -> Iterator[VerificationReport]:
+    for k in range(1, k_max + 1):
+        for r in range(1, min(r_max, n - 1) + 1):
+            lhs = zbar(Index.repeat(k, r), n).rational_part()
+            yield compare("thm-kkk", {"n": n, "k": k, "r": r}, lhs, kkk_closed(k, r, n))
 
 
 def _depth1_instance(n, k_max) -> list[VerificationReport]:
@@ -71,8 +73,10 @@ def _thm12_instance(n, cap) -> list[VerificationReport]:
     return [verify_theorem_1_2(n, cap)]
 
 
-def _sumformula_instance(n, k, r, k_max) -> list[VerificationReport]:
-    return [sum_formula_check(n, k, r, k_max)]
+def _sumformula_level(n, k_max, r_max) -> Iterator[VerificationReport]:
+    for r in range(1, min(n - 1, r_max) + 1):
+        for k in range(r, k_max + 1):
+            yield sum_formula_check(n, k, r, k_max)
 
 
 def _xi_kernel_rows(cap: int) -> Iterator[VerificationReport]:
@@ -122,7 +126,7 @@ def worker_count(parallelism: int, instances: int) -> int:
 
 
 def _timed(fn, args) -> list[VerificationReport]:
-    """Run one instance, `fn(*args)`, and set each row's `micros` to its
+    """Run one task, `fn(*args)`, and set each row's `micros` to its
     lap: the time since the previous row, or since the start for the
     first."""
     rows = []
@@ -141,22 +145,53 @@ def _timed(fn, args) -> list[VerificationReport]:
 ProcessPoolExecutor = None
 
 
-def _run(fn, instances, parallelism: int) -> list[VerificationReport]:
-    timed = functools.partial(_timed, fn)
-    workers = worker_count(parallelism, len(instances))
+def _run(tasks, parallelism: int) -> list[VerificationReport]:
+    """The rows of every task, in task order."""
+    workers = worker_count(parallelism, len(tasks))
+    columns = [fn for fn, _ in tasks], [args for _, args in tasks]
     if workers > 1:
         pool_type = ProcessPoolExecutor
         if pool_type is None:
             from concurrent.futures import ProcessPoolExecutor as pool_type
         with pool_type(max_workers=workers) as pool:
-            results = list(pool.map(timed, instances))
+            results = list(pool.map(_timed, *columns))
     else:
-        results = [timed(args) for args in instances]
+        results = map(_timed, *columns)
     return [row for rows in results for row in rows]
 
 
 def _given(value: int | None, default: int) -> int:
     return default if value is None else value
+
+
+def _tasks(name, n_max, cap, k_max, r_max) -> list:
+    """A suite's tasks in report order; a range left as None takes the
+    suite's default."""
+    if name == "all":
+        polylog_cap = None if cap is None else min(cap, POLYLOG_CAP_MAX)
+        return [task for sub in SUITES[:-1] for task in _tasks(
+            sub, n_max, polylog_cap if sub == "polylog" else cap, k_max, r_max)]
+    if name == "thm11":
+        nm, rm = _given(n_max, 20), _given(r_max, 6)
+        km = min(_given(k_max, 3), 3)
+        return ([(_thm11_level, (n, km, rm)) for n in range(2, nm + 1)]
+                + [(_depth1_instance, (n, _given(k_max, 12))) for n in range(1, nm + 1)])
+    if name == "thm12":
+        nm, c = _given(n_max, 10), _given(cap, 6)
+        return [(_thm12_instance, (n, c)) for n in range(1, nm + 1)]
+    if name == "sumformula":
+        nm, km, rm = _given(n_max, 15), _given(k_max, 8), _given(r_max, 5)
+        return [(_sumformula_level, (n, km, rm)) for n in range(2, nm + 1)]
+    if name == "phi":
+        nm, c = _given(n_max, 6), _given(cap, 4)
+        return [(prop_3_3_rows, (n, c)) for n in range(2, nm + 1)]
+    if name == "polylog":
+        nm, c = _given(n_max, 8), _given(cap, 4)
+        return [(lemma_3_2_rows, (n, c)) for n in range(2, nm + 1)]
+    if name == "xi":
+        return ([(_xi_kernel_rows, (_given(cap, 8),))]
+                + [(_xi_numeric_instance, target) for target in _XI_TARGETS])
+    raise ValueError(f"unknown suite: {name}")
 
 
 def run_suite(
@@ -173,54 +208,7 @@ def run_suite(
                              ("r_max", r_max, 1), ("cap", cap, 0)):
         if value is not None and value < low:
             raise ValueError(f"{flag} must be at least {low}")
-    if name == "all":
-        out = []
-        for sub in SUITES[:-1]:
-            sub_cap = min(cap, POLYLOG_CAP_MAX) if sub == "polylog" and cap is not None else cap
-            out.extend(
-                run_suite(sub, n_max=n_max, cap=sub_cap, k_max=k_max, r_max=r_max,
-                          parallelism=parallelism)
-            )
-        return out
-    if name == "thm11":
-        nm, rm = _given(n_max, 20), _given(r_max, 6)
-        km = min(_given(k_max, 3), 3)
-        instances = [
-            (n, k, r)
-            for n in range(2, nm + 1)
-            for k in range(1, km + 1)
-            for r in range(1, min(rm, n - 1) + 1)
-        ]
-        reports = _run(_thm11_instance, instances, parallelism)
-        reports.extend(
-            _run(_depth1_instance, [(n, _given(k_max, 12)) for n in range(1, nm + 1)],
-                 parallelism)
-        )
-        return reports
-    if name == "thm12":
-        nm, c = _given(n_max, 10), _given(cap, 6)
-        return _run(_thm12_instance, [(n, c) for n in range(1, nm + 1)], parallelism)
-    if name == "sumformula":
-        nm, km = _given(n_max, 15), _given(k_max, 8)
-        rm = _given(r_max, 5)
-        instances = [
-            (n, k, r, km)
-            for n in range(2, nm + 1)
-            for r in range(1, min(n - 1, rm) + 1)
-            for k in range(r, km + 1)
-        ]
-        return _run(_sumformula_instance, instances, parallelism)
-    if name == "phi":
-        nm, c = _given(n_max, 6), _given(cap, 4)
-        return _run(prop_3_3_rows, [(n, c) for n in range(2, nm + 1)], parallelism)
-    if name == "polylog":
-        nm, c = _given(n_max, 8), _given(cap, 4)
-        return _run(lemma_3_2_rows, [(n, c) for n in range(2, nm + 1)], parallelism)
-    if name == "xi":
-        reports = _run(_xi_kernel_rows, [(_given(cap, 8),)], parallelism)
-        reports.extend(_run(_xi_numeric_instance, _XI_TARGETS, parallelism))
-        return reports
-    raise ValueError(f"unknown suite: {name}")
+    return _run(_tasks(name, n_max, cap, k_max, r_max), parallelism)
 
 
 def default_parallelism(flag_value: int) -> int:

@@ -517,6 +517,57 @@ def test_worker_count_is_clamped(monkeypatch):
     assert suites.worker_count(500, 100) == 1
 
 
+@pytest.fixture
+def counting_pool(monkeypatch):
+    """Two CPUs, and in place of the process pool a serial stand-in that
+    records, per pool built, how many tasks each `map` call receives."""
+    from qmhs import suites
+
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.maps = []
+            pools.append(self.maps)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *columns):
+            columns = [list(column) for column in columns]
+            self.maps.append(len(columns[0]))
+            return map(fn, *columns)
+
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", SerialPool)
+    return pools
+
+
+def test_all_runs_on_one_pool(counting_pool):
+    from qmhs.suites import run_suite
+
+    strip = lambda rows: [{**row.as_dict(), "micros": 0} for row in rows]
+    serial = run_suite("all")
+    assert counting_pool == []
+    parallel = run_suite("all", parallelism=2)
+    assert len(counting_pool) == 1
+    assert strip(parallel) == strip(serial)
+
+
+@pytest.mark.parametrize("suite, n_max, tasks", [
+    ("sumformula", 7, 6),  # n = 2..7
+    ("thm11", 10, 9 + 10),  # thm-kkk at n = 2..10, depth-one at n = 1..10
+])
+def test_a_task_is_a_level(counting_pool, suite, n_max, tasks):
+    from qmhs.suites import run_suite
+
+    run_suite(suite, n_max=n_max, parallelism=2)
+    assert counting_pool == [[tasks]]
+
+
 def test_cli_import_loads_no_process_pool():
     """A serial run needs no pool, so importing the CLI loads neither
     multiprocessing nor the process-pool module."""

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from qmhs.cli import main as cli_main
-from qmhs.cyclotomic import CycloElem, cyclotomic_polynomial, get_field
+from qmhs.cyclotomic import CycloElem, get_field
 from qmhs.exactnum import Poly
 from qmhs.mhs import Index, _zbar_cached, enumerate_indices, exact_backend, numeric_backend, zbar
 from qmhs import mhs, ohno_zagier
@@ -491,7 +491,6 @@ def test_f_series_call_forms_share_one_cache_entry():
 
 def test_field_caches_are_bounded():
     assert get_field.cache_info().maxsize is not None
-    assert cyclotomic_polynomial.cache_info().maxsize is not None
 
 
 def test_numeric_backend_cache_is_bounded():
