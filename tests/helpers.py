@@ -1,8 +1,9 @@
 """Operations that only the tests use: series powers and truncation, the
 image of a rational polynomial in zeta, the closed-form inverse of
-1 - zeta^m, an oracle for the weight rows, and the former constructions
+1 - zeta^m, an oracle for the weight rows, the former constructions
 of the Prop 3.3 recurrence route and of series substitution, oracles for
-the current ones."""
+the current ones, and the images of Prop 3.3's change of variables, the
+input of the oracle for its binomial map."""
 
 import math
 from fractions import Fraction
@@ -54,6 +55,15 @@ def inv_one_minus_zeta_pow(field, m: int):
     for j in range(1, order):
         vec[(m * j) % n] -= Fraction(j, order)
     return element(field, Poly(vec))
+
+
+def transform_images(cap: int, field) -> tuple[MultiSeries, MultiSeries, MultiSeries]:
+    """The change of variables u = x/(1+x), v = y - z/(1+x),
+    w = z/(1+x)^2 as series in (x, y, z)."""
+    one = MultiSeries.constant(1, cap, field)
+    x, y, z = (MultiSeries.variable(name, cap, field) for name in "xyz")
+    inv1px = (one + x).invert()
+    return x * inv1px, y - z * inv1px, z * inv1px * inv1px
 
 
 def quad_p_by_operations(field, x_val, cap: int) -> MultiSeries:

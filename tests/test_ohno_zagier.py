@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmhs.cli import main as cli_main
 from qmhs.cyclotomic import CycloElem, get_field
@@ -20,13 +22,12 @@ from qmhs.ohno_zagier import (
     polylog,
     sum_formula_check,
     to_star,
-    transform_images,
     u_kernel,
     verify_lemma_3_2,
     verify_prop_3_3,
     verify_theorem_1_2,
 )
-from helpers import inv_one_minus_zeta_pow, phi_recurrence_by_inverses, truncate
+from helpers import inv_one_minus_zeta_pow, phi_recurrence_by_inverses, transform_images, truncate
 
 
 def test_u_kernel_low_coefficients():
@@ -97,6 +98,47 @@ def test_theorem_1_2_star_side_is_u_kernel_star():
     for n, cap in ((1, 4), (4, 6), (9, 7)):
         rep = verify_theorem_1_2(n, cap)
         assert rep.rhs.split(" | U*=")[1] == render_series(to_star(u_kernel(n, cap)))
+
+
+def test_theorem_1_2_reads_u_star_from_the_cached_f_star(monkeypatch):
+    n, cap = 9, 7
+    f_series.cache_clear()
+    u_star = render_series(to_star(u_kernel(n, cap)))
+    calls = []
+    original = ohno_zagier.to_star
+
+    def counting(s):
+        calls.append(s)
+        return original(s)
+
+    monkeypatch.setattr(ohno_zagier, "to_star", counting)
+    for _ in range(2):
+        rep = verify_theorem_1_2(n, cap)
+        assert rep.status == "pass"
+        assert rep.rhs.split(" | U*=")[1] == u_star
+    # the one call builds the cached F*, from the cached F
+    assert calls == [f_series(n, cap, False)]
+
+
+def test_failing_theorem_1_2_row_renders_the_kernels_own_star(monkeypatch, capsys):
+    original = ohno_zagier.u_kernel
+
+    def perturbed(n, cap):
+        u = original(n, cap)
+        coeffs = dict(u.coeffs)
+        coeffs[0, 1, 0] = coeffs.get((0, 1, 0), 0) + 1
+        return MultiSeries(RATIONALS, cap, coeffs)
+
+    monkeypatch.setattr(ohno_zagier, "u_kernel", perturbed)
+    n, cap = 4, 5
+    u = perturbed(n, cap)
+    rep = verify_theorem_1_2(n, cap)
+    assert rep.status == "fail"
+    assert rep.rhs == f"U={render_series(u)} | U*={render_series(to_star(u))}"
+    assert rep.rhs.split(" | U*=")[1] != rep.lhs.split(" | F*=")[1]
+    monkeypatch.delenv("QMHS_PARALLELISM", raising=False)
+    assert cli_main(["verify", "thm12", "--n-max", "3", "--cap", "3", "--parallelism", "1"]) == 1
+    assert "[fail]" in capsys.readouterr().out
 
 
 def test_u_kernel_star_is_inverse_of_flip():
@@ -233,6 +275,62 @@ def test_phi_star_substitution_reproduces_star_series():
         u, v, w = transform_images(4, field)
         got = ms_substitute(star, u, v, w).to_rational()
         assert got == f_bruteforce(n, 4, star=True), n
+
+
+def _composition_oracle(f):
+    """Prop 3.3's change of variables by the general composition."""
+    return ms_substitute(f, *transform_images(f.cap, RATIONALS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10), st.data())
+def test_binomial_map_matches_composition_oracle(cap, data):
+    monos = [(a, b, c) for c in range(cap // 2 + 1) for b in range(cap - 2 * c + 1)
+             for a in range(cap - 2 * c - b + 1)]
+    picked = data.draw(st.lists(st.sampled_from(monos), max_size=8, unique=True))
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    f = MultiSeries(RATIONALS, cap, {e: data.draw(coeffs) for e in picked})
+    assert ohno_zagier._binomial_map(f) == _composition_oracle(f)
+
+
+@pytest.mark.parametrize("n, cap", [(9, 7), (10, 8), (12, 9), (6, 16), (41, 6)])
+def test_binomial_map_matches_composition_oracle_on_phi_product(n, cap):
+    f = phi_product(n, cap).to_rational()
+    assert ohno_zagier._binomial_map(f) == _composition_oracle(f)
+
+
+def test_binomial_map_edge_cases():
+    binomial_map = ohno_zagier._binomial_map
+    for cap in range(0, 7):
+        for f in (MultiSeries.zero(cap), MultiSeries.constant(Fraction(-3, 7), cap)):
+            assert binomial_map(f) == f == _composition_oracle(f), cap
+    # w = z/(1+x)^2 = sum_t (-1)^t (t + 1) x^t z
+    cap = 9
+    w = MultiSeries.variable("w", cap)
+    assert binomial_map(w) == MultiSeries(RATIONALS, cap, {
+        (t, 0, 1): Fraction((-1) ** t * (t + 1)) for t in range(cap - 1)})
+    assert binomial_map(w) == _composition_oracle(w)
+    # y^b: the i = 0 term has N = 0, so (1+x)^0 adds no power of x
+    for b in range(cap + 1):
+        f = MultiSeries(RATIONALS, cap, {(0, b, 0): Fraction(2, 3)})
+        got = binomial_map(f)
+        assert got == _composition_oracle(f), b
+        assert got.coefficient(0, b, 0) == Fraction(2, 3)
+        assert all(got.coefficient(t, b, 0) == 0 for t in range(1, cap - b + 1)), b
+
+
+def test_phi_substitution_takes_no_series_operation_beyond_phi_product(monkeypatch):
+    n, cap = 10, 8
+    rec = phi_recurrence(n, cap)
+    f_series(n, cap, False)  # the target, cached outside the count
+    monkeypatch.setattr(ohno_zagier, "phi_recurrence", lambda n, cap: rec)
+    calls = _count_calls(monkeypatch, MultiSeries, "__mul__", "invert")
+    phi_product(n, cap)
+    product_calls = dict(calls)
+    calls.update(dict.fromkeys(calls, 0))
+    reports = list(ohno_zagier.prop_3_3_rows(n, cap))
+    assert calls == product_calls
+    assert [r.status for r in reports] == ["pass", "pass"]
 
 
 def test_transform_weight_two_part():
@@ -408,18 +506,23 @@ def test_f_series_matches_layer_oracle(n, cap, star):
     assert f_series(n, cap, star) == f_series_layers(n, cap, star)
 
 
-def _count_field_ops(monkeypatch):
-    """Count field multiplies and adds (`_combine` serves + and -)."""
-    calls = {"__mul__": 0, "_combine": 0}
+def _count_calls(monkeypatch, cls, *names):
+    """Count calls of the named methods of `cls`."""
+    calls = dict.fromkeys(names, 0)
     for name in calls:
-        original = getattr(CycloElem, name)
+        original = getattr(cls, name)
 
         def counting(*args, original=original, name=name):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(CycloElem, name, counting)
+        monkeypatch.setattr(cls, name, counting)
     return calls
+
+
+def _count_field_ops(monkeypatch):
+    """Count field multiplies and adds (`_combine` serves + and -)."""
+    return _count_calls(monkeypatch, CycloElem, "__mul__", "_combine")
 
 
 def _warm_f_series_inputs(n, cap):
