@@ -72,7 +72,7 @@ VERIFY_K_MAX = 12
 CONJECTURE_AB_MAX = 6
 
 # The largest value of each `table` range flag; at the others' ceilings `zbar` took 8-10 s,
-# `tildeU` 6-7 s, `depth1` 5-6 s and `kkk` 0.6 s.
+# `tildeU` 1.3-1.7 s, `depth1` 5-6 s and `kkk` 0.6 s.
 TABLE_CEILINGS = {"--n": EXACT_N_MAX, "--k": 4, "--k-max": 1000, "--n-max": VERIFY_N_MAX,
                   "--r-max": 8, "--cap": 80}
 
@@ -190,6 +190,9 @@ def cmd_verify(args) -> int:
 
 def cmd_conjecture(args) -> int:
     _refuse_above(args, {"--n-max": VERIFY_N_MAX, "--ab-max": CONJECTURE_AB_MAX})
+    for flag, value in (("--n-max", args.n_max), ("--ab-max", args.ab_max)):
+        if value < 0:
+            raise ValueError(f"{flag} {value} is negative")
     reports = [conjecture_check(args.family, n, a, total - a)
                for n in range(2, args.n_max + 1)
                for total in range(min(args.ab_max, n - 2) + 1)  # a + b + 1 < n
@@ -243,12 +246,9 @@ def cmd_table(args) -> int:
     if args.format == "json":
         text = json.dumps([dict(zip(header, row)) for row in rows], indent=2)
     elif args.format == "text":
-        widths = [max(len(str(h)), max((len(str(r[i])) for r in rows), default=0))
-                  for i, h in enumerate(header)]
-        lines = ["  ".join(str(h).ljust(w) for h, w in zip(header, widths))]
-        lines += ["  ".join(str(c).ljust(w) for c, w in zip(row, widths))
-                  for row in rows]
-        text = "\n".join(lines)
+        widths = [max(len(str(c)) for c in column) for column in zip(header, *rows)]
+        text = "\n".join("  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip()
+                         for row in [header, *rows])
     else:
         text = _csv(header, rows)
     _write_output(text, args.output)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 from bisect import bisect_right
 from fractions import Fraction
-from math import factorial
 from operator import itemgetter
 
 # RationalField is re-exported: the tracer in perfbench/spans.py reads it here
@@ -223,7 +222,8 @@ def render_series(s: MultiSeries) -> str:
 
 def ms_substitute(f: MultiSeries, u_expr: MultiSeries, v_expr: MultiSeries,
                   w_expr: MultiSeries) -> "MultiSeries":
-    """Composition f(u_expr, v_expr, w_expr).
+    """Composition f(u_expr, v_expr, w_expr): the sum over f's monomials of
+    f_abc U^a V^b W^c, from cached powers of the images.
 
     Each image must have zero constant term and valuation at least the
     weight of the variable it replaces, so that truncation at the shared
@@ -247,17 +247,8 @@ def ms_substitute(f: MultiSeries, u_expr: MultiSeries, v_expr: MultiSeries,
     def power(slot: int, e: int) -> MultiSeries:
         return power(slot, e - 1) * images[slot] if e else MultiSeries.constant(1, cap, field)
 
-    # f = sum_a U^a sum_b V^b (sum_c f_abc W^c): one product per (a, b) and per a
-    in_w: dict = {}
-    for (a, b, c), k in f.coeffs.items():
-        k = field.from_rational(k) if isinstance(k, (int, Fraction)) else k
-        acc = in_w.setdefault(a, {}).setdefault(b, {})
-        for e, v in power(2, c).coeffs.items():
-            acc[e] = acc[e] + v * k if e in acc else v * k
-    zero = MultiSeries.zero(cap, field)
-    return sum((power(0, a) * sum((power(1, b) * MultiSeries(field, cap, acc)
-                                   for b, acc in by_b.items()), zero)
-                for a, by_b in in_w.items()), zero)
+    return sum(((power(0, a) * power(1, b) * power(2, c)).scale(k)
+                for (a, b, c), k in f.coeffs.items()), MultiSeries.zero(cap, field))
 
 
 def ms_divide_xy_minus_z(numerator: MultiSeries) -> MultiSeries:
@@ -290,30 +281,3 @@ def ms_divide_xy_minus_z(numerator: MultiSeries) -> MultiSeries:
                 f"(remainder has nonzero x^{s}*y^{t} term)"
             )
     return MultiSeries(field, cap - 2, out)
-
-
-def exp_half_y(cap: int) -> MultiSeries:
-    """exp(y/2) truncated at the cap."""
-    coeffs = {(0, m, 0): Fraction(1, 2**m * factorial(m)) for m in range(cap + 1)}
-    return MultiSeries(RATIONALS, cap, coeffs)
-
-
-def x_over_sinh_half_x(cap: int) -> MultiSeries:
-    """x / sinh(x/2) = 2 * (sum_m (x/2)^(2m) / (2m+1)!)^(-1)."""
-    body = {
-        (2 * m, 0, 0): Fraction(1, 4**m * factorial(2 * m + 1)) for m in range(cap // 2 + 1)
-    }
-    return MultiSeries(RATIONALS, cap, body).invert().scale(2)
-
-
-def cosh_half_sqrt(w_expr: MultiSeries) -> MultiSeries:
-    """cosh(sqrt(w)/2) = sum_m w^m / (4^m (2m)!) for a series w with zero
-    constant term; no square root is ever formed."""
-    if w_expr.constant_term():
-        raise ValueError("cosh_half_sqrt requires a zero constant term")
-    cap, field = w_expr.cap, w_expr.field
-    total = wp = MultiSeries.constant(1, cap, field)
-    for m in range(1, cap // w_expr.valuation() + 1):
-        wp = wp * w_expr
-        total = total + wp.scale(Fraction(1, 4**m * factorial(2 * m)))
-    return total

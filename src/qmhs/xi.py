@@ -4,7 +4,8 @@ For constant indices and depth one the limits have closed forms that are
 rational multiples of powers of (-2*pi*i); these exact pairs are the
 primary representation and floating point is only a rendering.  The
 profile-level generating function of the limits is an explicit kernel
-built from even hyperbolic series, with exact rational coefficients.
+of hyperbolic series, with exact rational coefficients, built as one
+plain sum: its quotient by xy - z is taken in closed form, term by term.
 """
 
 from __future__ import annotations
@@ -14,15 +15,9 @@ from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
-from .exactnum import binomial, bernoulli
+from .exactnum import RATIONALS, binomial, bernoulli
 from .mhs import Index, numeric_backend, z as mhs_z
-from .multiseries import (
-    MultiSeries,
-    cosh_half_sqrt,
-    exp_half_y,
-    ms_divide_xy_minus_z,
-    x_over_sinh_half_x,
-)
+from .multiseries import MultiSeries
 from .ohno_zagier import to_star
 
 
@@ -96,23 +91,33 @@ def xi_sum_formula(k: int, r: int) -> XiClosed:
 
 def tilde_u(cap: int) -> MultiSeries:
     """Kernel whose coefficient at x^(k-r-s) y^(r-s) z^s is the
-    (-2*pi*i)^(-k)-normalized profile sum of the limits:
+    (-2*pi*i)^(-k)-normalized profile sum of the limits, up to the cap:
 
-        exp(y/2) * x/sinh(x/2)
-        * (cosh(sqrt((x+y)^2 - 4z)/2) - cosh((x-y)/2)) / (xy - z)
+        exp(y/2) * x/sinh(x/2) * (cosh(sqrt(a)/2) - cosh(sqrt(b)/2)) / (xy - z)
+          = exp(y/2) * x/sinh(x/2) * sum_(m=1..cap//2+1) h_(m-1) / (4^(m-1) (2m)!)
 
-    built entirely from even series, so no square root is ever taken;
-    the division by (xy - z) is synthetic with a remainder check.
+    with a = (x+y)^2 - 4z, b = (x-y)^2, h_0 = 1 and h_j = a h_(j-1) + b^j:
+    no square root and no division.  Proof: cosh(sqrt(a)/2) = sum_m a^m /
+    (4^m (2m)!), h_(m-1) = sum_(i<m) a^i b^(m-1-i) gives a^m - b^m =
+    (a - b) h_(m-1), and a - b = 4(xy - z).  It is exact at the cap: a and
+    b have weight 2, so h_(m-1) has weight at least 2(m-1).
     """
-    inner_cap = cap + 2
-    x = MultiSeries.variable("x", inner_cap)
-    y = MultiSeries.variable("y", inner_cap)
-    z = MultiSeries.variable("z", inner_cap)
-    w_plus = (x + y) * (x + y) - z.scale(4)
-    w_minus = (x - y) * (x - y)
-    numerator = cosh_half_sqrt(w_plus) - cosh_half_sqrt(w_minus)
-    quotient = ms_divide_xy_minus_z(numerator)
-    return exp_half_y(cap) * x_over_sinh_half_x(cap) * quotient
+    x, y, z = (MultiSeries.variable(name, cap) for name in "xyz")
+    a = (x + y) * (x + y) - z.scale(4)
+    b = (x - y) * (x - y)
+    h = b_power = MultiSeries.constant(1, cap)
+    quotient = h.scale(Fraction(1, 2))
+    for m in range(2, cap // 2 + 2):
+        b_power = b_power * b
+        h = a * h + b_power
+        quotient = quotient + h.scale(Fraction(1, 4 ** (m - 1) * factorial(2 * m)))
+    exp_half_y = {(0, m, 0): Fraction(1, 2**m * factorial(m)) for m in range(cap + 1)}
+    # x / sinh(x/2) = 2 * (sum_m (x/2)^(2m) / (2m+1)!)^(-1)
+    sinh_body = {(2 * m, 0, 0): Fraction(1, 4**m * factorial(2 * m + 1))
+                 for m in range(cap // 2 + 1)}
+    # one-variable factors one at a time: their product is dense in x and y
+    return MultiSeries(RATIONALS, cap, exp_half_y) * (
+        MultiSeries(RATIONALS, cap, sinh_body).invert().scale(2) * quotient)
 
 
 def tilde_u_star(cap: int) -> MultiSeries:

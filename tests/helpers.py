@@ -1,16 +1,17 @@
 """Operations that only the tests use: series powers and truncation, the
 image of a rational polynomial in zeta, the closed-form inverse of
 1 - zeta^m, an oracle for the weight rows, the former constructions
-of the Prop 3.3 recurrence route and of series substitution, oracles for
-the current ones, and the images of Prop 3.3's change of variables, the
-input of the oracle for its binomial map."""
+of the Prop 3.3 recurrence route and of the limit kernel (a square-root
+series divided by xy - z), oracles for the current ones, and the images
+of Prop 3.3's change of variables, the input of the oracle for its
+binomial map."""
 
 import math
 from fractions import Fraction
 
 from qmhs.cyclotomic import CycloElem, get_field
 from qmhs.exactnum import Poly
-from qmhs.multiseries import WEIGHTS, MultiSeries
+from qmhs.multiseries import RATIONALS, MultiSeries, ms_divide_xy_minus_z
 
 
 def power(a: MultiSeries, e: int) -> MultiSeries:
@@ -91,23 +92,36 @@ def phi_recurrence_by_inverses(n: int, cap: int) -> MultiSeries:
     return quad_p_by_operations(field, field.zeta_pow(n - 1), cap) * c_j
 
 
-def substitute_by_monomials(f: MultiSeries, u_expr: MultiSeries, v_expr: MultiSeries,
-                            w_expr: MultiSeries) -> MultiSeries:
-    """f(u_expr, v_expr, w_expr) as the sum over f's monomials of
-    coefficient * U^a V^b W^c, two series products per monomial."""
-    images = (u_expr, v_expr, w_expr)
-    cap, field = u_expr.cap, u_expr.field
-    for img, wt in zip(images, WEIGHTS):
-        assert not img.constant_term() and (not img or img.valuation() >= wt)
-    one = MultiSeries.constant(1, cap, field)
-    powers: list[dict[int, MultiSeries]] = [{0: one}, {0: one}, {0: one}]
+def exp_half_y(cap: int) -> MultiSeries:
+    """exp(y/2) truncated at the cap."""
+    coeffs = {(0, m, 0): Fraction(1, 2**m * math.factorial(m)) for m in range(cap + 1)}
+    return MultiSeries(RATIONALS, cap, coeffs)
 
-    def power(slot: int, e: int) -> MultiSeries:
-        if e not in powers[slot]:
-            powers[slot][e] = power(slot, e - 1) * images[slot]
-        return powers[slot][e]
 
-    total = MultiSeries.zero(cap, field)
-    for (a, b, c), coeff in f.coeffs.items():
-        total = total + (power(0, a) * power(1, b) * power(2, c)).scale(coeff)
+def x_over_sinh_half_x(cap: int) -> MultiSeries:
+    """x / sinh(x/2) = 2 * (sum_m (x/2)^(2m) / (2m+1)!)^(-1)."""
+    body = {(2 * m, 0, 0): Fraction(1, 4**m * math.factorial(2 * m + 1))
+            for m in range(cap // 2 + 1)}
+    return MultiSeries(RATIONALS, cap, body).invert().scale(2)
+
+
+def cosh_half_sqrt(w_expr: MultiSeries) -> MultiSeries:
+    """cosh(sqrt(w)/2) = sum_m w^m / (4^m (2m)!) for a series w with zero
+    constant term; no square root is ever formed."""
+    if w_expr.constant_term():
+        raise ValueError("cosh_half_sqrt requires a zero constant term")
+    cap, field = w_expr.cap, w_expr.field
+    total = wp = MultiSeries.constant(1, cap, field)
+    for m in range(1, cap // w_expr.valuation() + 1):
+        wp = wp * w_expr
+        total = total + wp.scale(Fraction(1, 4**m * math.factorial(2 * m)))
     return total
+
+
+def tilde_u_by_division(cap: int) -> MultiSeries:
+    """The former construction of the limit kernel: the numerator
+    cosh(sqrt((x+y)^2 - 4z)/2) - cosh((x-y)/2) at cap + 2, divided by
+    xy - z with a remainder check, times exp(y/2) and x/sinh(x/2)."""
+    x, y, z = (MultiSeries.variable(name, cap + 2) for name in "xyz")
+    numerator = cosh_half_sqrt((x + y) * (x + y) - z.scale(4)) - cosh_half_sqrt((x - y) * (x - y))
+    return exp_half_y(cap) * x_over_sinh_half_x(cap) * ms_divide_xy_minus_z(numerator)

@@ -351,6 +351,26 @@ def test_conjecture_above_a_ceiling_is_input_error(capsys, flag, ceiling):
     assert (get_field.cache_info().misses, exact_backend.cache_info().misses) == built
 
 
+@pytest.mark.parametrize("flag, value", [("--n-max", "-5"), ("--ab-max", "-1")])
+def test_conjecture_negative_range_is_input_error(capsys, flag, value):
+    """Refused before any field or backend is built."""
+    from qmhs.mhs import exact_backend
+
+    built = get_field.cache_info().misses, exact_backend.cache_info().misses
+    code, out, err = run_cli(capsys, "conjecture", "1", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} {value} is negative\n"
+    assert (get_field.cache_info().misses, exact_backend.cache_info().misses) == built
+
+
+@pytest.mark.parametrize("n_max", ["0", "1"])
+def test_conjecture_below_level_two_is_empty_report(capsys, n_max):
+    code, out, _ = run_cli(capsys, "conjecture", "1", "--n-max", n_max, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == []
+
+
 def test_conjecture_ceilings_are_inclusive(capsys, monkeypatch):
     from qmhs import cli
 
@@ -751,6 +771,26 @@ def test_table_tilde_u(capsys):
     rows = {(r["k"], r["r"], r["s"]): Fraction(r["numerator"], r["denominator"])
             for r in json.loads(out)}
     assert rows[(2, 1, 1)] == Fraction(-1, 12)
+
+
+def test_table_tilde_u_negative_cap_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "table", "tildeU", "--cap", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cap must be non-negative\n"
+
+
+def test_table_text_is_aligned_without_trailing_spaces(capsys):
+    code, out, _ = run_cli(capsys, "table", "depth1", "--n", "3", "--k-max", "4",
+                           "--format", "text")
+    assert code == 0
+    assert out == (
+        "n  k  numerator  denominator\n"
+        "3  1  1          1\n"
+        "3  2  -2         3\n"
+        "3  3  1          3\n"
+        "3  4  -1         9\n"
+    )
 
 
 def test_rendered_values_reparse():

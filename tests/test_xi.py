@@ -5,6 +5,7 @@ import pytest
 
 from qmhs.exactnum import bernoulli
 from qmhs.mhs import Index, enumerate_indices, z, z_star, exact_backend, numeric_backend
+from qmhs.ohno_zagier import to_star
 from qmhs.suites import _XI_TARGETS, _xi_numeric_instance
 from qmhs.xi import (
     XiClosed,
@@ -17,6 +18,7 @@ from qmhs.xi import (
     xi_sum_formula,
     z_numeric,
 )
+from helpers import tilde_u_by_division
 
 
 def test_depth_one_closed_forms():
@@ -122,6 +124,14 @@ def test_kernel_row_sums_match_sum_formula():
                 Fraction(0),
             )
             assert got == xi_sum_formula(k, r).coeff, (k, r)
+
+
+@pytest.mark.parametrize("cap", range(17))
+def test_kernel_sum_matches_the_division_route(cap):
+    """The plain sum against the square-root series divided by xy - z."""
+    oracle = tilde_u_by_division(cap)
+    assert tilde_u(cap) == oracle
+    assert tilde_u_star(cap) == to_star(oracle)
 
 
 def test_star_kernel_depth_one_equals_plain():
