@@ -85,7 +85,7 @@ def render_complex(v: complex) -> str:
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
+        if text and not text.endswith("\n"):
             sys.stdout.write("\n")
         return
     try:
@@ -126,7 +126,7 @@ def _format_reports(reports: list[VerificationReport], fmt: str) -> str:
         if r.status == FAIL:
             lines.append(f"    lhs: {r.lhs}")
             lines.append(f"    rhs: {r.rhs}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{line}\n" for line in lines)
 
 
 def cmd_compute(args) -> int:
@@ -171,6 +171,12 @@ def _refuse_above(args, ceilings: dict) -> None:
                              f"the largest `{args.command}` takes")
 
 
+def _refuse_negative(args, *flags: str) -> None:
+    for flag in flags:
+        if (value := getattr(args, flag[2:].replace("-", "_"))) < 0:
+            raise ValueError(f"{flag} {value} is negative")
+
+
 def cmd_verify(args) -> int:
     cap_max = POLYLOG_CAP_MAX if args.suite == "polylog" else VERIFY_CAP_MAX
     _refuse_above(args, {"--n-max": VERIFY_N_MAX, "--cap": cap_max, "--k-max": VERIFY_K_MAX})
@@ -190,9 +196,7 @@ def cmd_verify(args) -> int:
 
 def cmd_conjecture(args) -> int:
     _refuse_above(args, {"--n-max": VERIFY_N_MAX, "--ab-max": CONJECTURE_AB_MAX})
-    for flag, value in (("--n-max", args.n_max), ("--ab-max", args.ab_max)):
-        if value < 0:
-            raise ValueError(f"{flag} {value} is negative")
+    _refuse_negative(args, "--n-max", "--ab-max")
     reports = [conjecture_check(args.family, n, a, total - a)
                for n in range(2, args.n_max + 1)
                for total in range(min(args.ab_max, n - 2) + 1)  # a + b + 1 < n
@@ -242,6 +246,7 @@ def _table_rows(args) -> tuple[list[str], list[list]]:
 
 def cmd_table(args) -> int:
     _refuse_above(args, TABLE_CEILINGS)
+    _refuse_negative(args, "--n-max", "--r-max")
     header, rows = _table_rows(args)
     if args.format == "json":
         text = json.dumps([dict(zip(header, row)) for row in rows], indent=2)

@@ -5,10 +5,10 @@ Everything here is coefficient-exact: the strict generating function of
 profile sums is a product over m and the non-strict one its `to_star`
 (the brute-force assembly from the nested-sum engine is the oracle of
 both), the kernel expands a binomial double sum, and the two must agree
-monomial by monomial.  The product and recurrence routes for the one-variable
-generating function serve as mutual oracles, and the q-difference
-recursions of the truncated polylogarithms are checked as polynomial
-identities.
+monomial by monomial.  The one-variable generating function's product
+route over Q(zeta_n) and closed-form recurrence route over Q serve as
+mutual oracles, and the q-difference recursions of the truncated
+polylogarithms are checked as polynomial identities.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ import functools
 from collections.abc import Iterator
 from fractions import Fraction
 from math import comb, lcm
-from operator import mul
 
-from .cyclotomic import CycloElem, CycloField, get_field
+from .cyclotomic import get_field
 from .exactnum import Poly
 from .mhs import (
     Index,
@@ -28,7 +27,6 @@ from .mhs import (
     enumerate_indices,
     exact_backend,
     profile_sum,
-    units_by_gcd,
     zbar,
 )
 from .multiseries import RATIONALS, MultiSeries, render_series
@@ -102,7 +100,8 @@ def f_bruteforce(n: int, cap: int, star: bool = False) -> MultiSeries:
     return MultiSeries(RATIONALS, cap, coeffs)
 
 
-def f_series(n: int, cap: int, star: bool = False) -> MultiSeries:
+@functools.lru_cache(maxsize=16)
+def f_series(n: int, cap: int, /) -> MultiSeries:
     """The series of `f_bruteforce`, built as a product over m = 1..n-1.
 
     A part p at chain position m contributes w^_p(m) * mono(p), where
@@ -111,28 +110,14 @@ def f_series(n: int, cap: int, star: bool = False) -> MultiSeries:
     `_row_product`.  With g_m = sum_(p<=cap) w^_p(m) mono(p), strict chains
     give F = prod_m (1 + g_m), one series product per m.  Non-strict chains
     give prod_m (1 - g_m)^(-1) = to_star(F) exactly, since each mono(p)
-    carries one y or one z; it is taken over Q from the cached F, so the
-    only independent check of the non-strict sums is
-    `f_bruteforce(star=True)`.
+    carries one y or one z; a caller takes it over Q, so the only
+    independent check of the non-strict sums is `f_bruteforce(star=True)`.
 
     Coefficients must come out rational; `to_rational` raises otherwise.
-    The cached result is shared between callers; like every MultiSeries,
-    it is treated as immutable; one entry per (n, cap, star), however a
-    call spells them.
+    The cached result is shared and, like every MultiSeries, immutable;
+    positional-only arguments give one cache entry per (n, cap).
     """
-    return _f_series(n, cap, star)
-
-
-@functools.lru_cache(maxsize=16)
-def _f_series(n: int, cap: int, star: bool) -> MultiSeries:
-    if star:
-        return to_star(_f_series(n, cap, False))
     return _row_product(n, cap, True).to_rational()
-
-
-# the handles of an lru_cache function, for callers of `f_series`
-f_series.cache_info, f_series.cache_clear = _f_series.cache_info, _f_series.cache_clear
-f_series.__wrapped__ = _f_series.__wrapped__
 
 
 def _row_product(n: int, cap: int, twisted: bool) -> MultiSeries:
@@ -155,10 +140,10 @@ def verify_theorem_1_2(n: int, cap: int) -> VerificationReport:
     the strict series equals the kernel and the non-strict series equals
     the inverse of the sign-flipped kernel.  Both starred sides are
     `to_star` of the strict ones, so F* = U* follows from F = U: a passing
-    row reads U* from the cached F*, and only a failing one takes to_star(U)."""
-    f_plain = f_series(n, cap, False)
+    row reads U* from F*, and only a failing one takes to_star(U)."""
+    f_plain = f_series(n, cap)
     u_plain = u_kernel(n, cap)
-    f_star = f_series(n, cap, True)
+    f_star = to_star(f_plain)
     holds = f_plain == u_plain
     u_star = f_star if holds else to_star(u_plain)
     return VerificationReport(
@@ -189,7 +174,7 @@ def sum_formula_check(n: int, k: int, r: int, k_max: int = 0) -> VerificationRep
     the same `k_max` share one series."""
     if not (k >= r and n > r > 0):
         raise ValueError("requires k >= r and n > r > 0")
-    lhs_q = weight_depth_sum(f_series(n, max(k, k_max), False), k, r)
+    lhs_q = weight_depth_sum(f_series(n, max(k, k_max)), k, r)
     rhs_q = sum(
         (
             Fraction(comb(n, j), n) * zbar(Index((k + 1 - j,)), n).rational_part()
@@ -202,13 +187,6 @@ def sum_formula_check(n: int, k: int, r: int, k_max: int = 0) -> VerificationRep
 
 # ---------------------------------------------------------------------------
 # One-variable generating function at t = 1: product and recurrence routes.
-
-
-def _quad_p(field: CycloField, x_val: CycloElem, cap: int) -> MultiSeries:
-    """P(X) = (1-u-X)(1+v-X) + w = c^2 - cu + cv - uv + w at a constant X, c = 1 - X."""
-    c, one = field.one - x_val, field.one
-    return MultiSeries(field, cap, {(0, 0, 0): c * c, (1, 0, 0): -c, (0, 1, 0): c,
-                                    (1, 1, 0): -one, (0, 0, 1): one})
 
 
 def phi_product(n: int, cap: int) -> MultiSeries:
@@ -224,29 +202,37 @@ def phi_product(n: int, cap: int) -> MultiSeries:
     return _row_product(n, cap, False)
 
 
+def _over_levels(n: int, cap: int, s1: MultiSeries, s2: MultiSeries) -> MultiSeries:
+    """prod_(0<j<n) (zeta^j - 1 - r_1)(zeta^j - 1 - r_2) over Q, where
+    r_1 + r_2 = s1 and r_1 r_2 = s2: the lemma of `phi_recurrence`."""
+    a = b = MultiSeries.zero(cap)
+    for i in reversed(range(min(n, cap + 1))):
+        a, b = MultiSeries.constant(comb(n, i + 1), cap) - s2 * b, a + s1 * b
+    return a * (a + s1 * b) + s2 * b * b
+
+
 def phi_recurrence(n: int, cap: int) -> MultiSeries:
-    """Recurrence route, unrolled: c_1 = G_1, c_(j+1) = (P(q^j) c_j) G_(j+1),
-    closed with P(q^(n-1)) c_(n-1), is prod_(j<n) P(q^j) times prod_(j<n) G_j
-    exactly, as truncated products regroup freely; G_j = 1/((1-q^j)(1-u-q^j))
-    = s_j^2 sum_(i<=cap) (s_j u)^i, s_j = (1-q^j)^(-1).  The P product stays in
-    Z[zeta_n] and the G_j, series in u alone, meet it only at the end.  One
-    `CycloElem` inversion per g = gcd(j, n) < n gives s_g^k, k = 2..cap+2, and
-    j = g u mod n reads sigma_u(s_g^k) (`CycloField.conjugates`): no series
-    inverse, no polylogarithm row."""
+    """Recurrence route: c_1 = G_1, c_(j+1) = (P(q^j) c_j) G_(j+1), closed
+    with P(q^(n-1)) c_(n-1), G_j = 1/((1-q^j)(1-u-q^j)), regroups to N/D,
+    N = prod_(0<j<n) P(q^j), D = prod_(0<j<n) (1-q^j)(1-u-q^j), both over Q.
+
+    Lemma: for r_1 + r_2 = s1, r_1 r_2 = s2 and A + B r = Phi(1 + r) =
+    sum_(i<n) C(n, i+1) r^i mod r^2 - s1 r + s2, prod_(0<j<n) (q^j - 1 - r_1)
+    (q^j - 1 - r_2) = A(A + s1 B) + s2 B^2.  Proof: prod_(0<j<n) (x - q^j) =
+    (x^n - 1)/(x - 1) = Phi(x), so it is (A + B r_1)(A + B r_2); Horner from
+    the top reduces c + r(A + B r) to (c - s2 B) + (A + s1 B) r.  At X = 1 + t,
+    P(X) = (t + u)(t - v) + w (s1 = v - u, s2 = w - uv) and (1-X)(1-u-X) =
+    t(t + u) (s1 = -u, s2 = 0: D = n g(-u), g the `binomial_quotient`).  Exact
+    at the cap: r_1^i r_2^k + r_1^k r_2^i has weight i + k in s1, s2 (weights
+    1, 2), so Horner over i <= cap drops only weights above it.  No field
+    operation, no polylogarithm row: the result is lifted to Q(zeta_n) once."""
     if n < 2:
         raise ValueError("the recurrence route needs n >= 2")
+    u, v, w = (MultiSeries.variable(name, cap) for name in "uvw")
+    num = _over_levels(n, cap, v - u, w - u * v)
+    den = _over_levels(n, cap, -u, MultiSeries.zero(cap))
     field = get_field(n)
-    quads = functools.reduce(mul, (_quad_p(field, field.zeta_pow(j), cap) for j in range(1, n)))
-    geometric = []
-    for g, ms in units_by_gcd(n).items():
-        s = (field.one - field.zeta_pow(g)).inverse()
-        powers = [s * s]
-        for _ in range(cap):
-            powers.append(powers[-1] * s)
-        images = [field.conjugates(p, [(u, 0) for _, u in ms]) for p in powers]
-        geometric += (MultiSeries(field, cap, {(i, 0, 0): c for i, c in enumerate(col)})
-                      for col in zip(*images))
-    return quads * functools.reduce(mul, geometric)
+    return (num * den.invert()).map_coefficients(field.from_rational, field)
 
 
 def _binomial_map(f: MultiSeries) -> MultiSeries:
@@ -272,10 +258,10 @@ def prop_3_3_rows(n: int, cap: int) -> Iterator[VerificationReport]:
 
     The product route is the untwisted `_row_product` and its target
     `f_series` the twisted one, taken to Q, so the substitution checks the
-    twist.  Only the product route reads the cached polylogarithm rows; the
-    recurrence route's coefficients come from field operations alone
-    (`_quad_p`, and for the G_j one `CycloElem` inverse per divisor of n and
-    its conjugates), so `phi-routes` compares two independent routes.  The
+    twist.  The two routes share no input, so `phi-routes` compares two
+    independent routes: the product route is built over Q(zeta_n) from the
+    cached polylogarithm rows, the recurrence route over Q from binomials
+    alone (the closed form of `phi_recurrence`), with no field operation.  The
     product route is rational: an automorphism zeta -> zeta^a with
     gcd(a, n) = 1 permutes its factors j = 1..n-1.  So the substitution runs
     over Q; `to_rational` raises on an irrational coefficient.  It sends
@@ -286,13 +272,9 @@ def prop_3_3_rows(n: int, cap: int) -> Iterator[VerificationReport]:
     N = a + i + 2c, the t-sum being t = 0 alone when N = 0.  Proof: expand
     (y - z/(1+x))^b, then (1+x)^(-N).  The weight is (a + b + 2c) + i + t: truncation is exact."""
     prod = phi_product(n, cap)
-    rec = phi_recurrence(n, cap)
-    yield compare("phi-routes", {"n": n, "cap": cap}, prod, rec, render_series)
-    substituted = _binomial_map(prod.to_rational())
-    target = f_series(n, cap, False)
-    yield compare(
-        "phi-substitution", {"n": n, "cap": cap}, substituted, target, render_series
-    )
+    yield compare("phi-routes", {"n": n, "cap": cap}, prod, phi_recurrence(n, cap), render_series)
+    yield compare("phi-substitution", {"n": n, "cap": cap}, _binomial_map(prod.to_rational()),
+                  f_series(n, cap), render_series)
 
 
 def verify_prop_3_3(n: int, cap: int) -> list[VerificationReport]:

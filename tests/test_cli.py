@@ -369,6 +369,17 @@ def test_conjecture_below_level_two_is_empty_report(capsys, n_max):
     code, out, _ = run_cli(capsys, "conjecture", "1", "--n-max", n_max, "--format", "json")
     assert code == 0
     assert json.loads(out) == []
+    code, out, _ = run_cli(capsys, "conjecture", "1", "--n-max", n_max, "--format", "text")
+    assert (code, out) == (0, "")
+
+
+@pytest.mark.parametrize("argv", [("sumformula", "--n-max", "1"), ("phi", "--n-max", "1"),
+                                  ("polylog", "--cap", "0", "--n-max", "2")])
+def test_empty_verify_report_prints_nothing_as_text(capsys, argv):
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert (code, out) == (0, "")
+    code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
+    assert (code, json.loads(out)) == (0, [])
 
 
 def test_conjecture_ceilings_are_inclusive(capsys, monkeypatch):
@@ -704,12 +715,26 @@ def test_table_kkk_matches_closed_form(capsys):
         assert Fraction(row["numerator"], row["denominator"]) == expect
 
 
-@pytest.mark.parametrize("flag, value", [("--n-max", "-1"), ("--r-max", "-2"), ("--k", "0")])
-def test_table_kkk_bad_range_is_input_error(capsys, flag, value):
-    code, out, err = run_cli(capsys, "table", "kkk", flag, value)
+BAD_TABLE_RANGES = [("--n-max", "-1"), ("--r-max", "-2"), ("--k", "0")]
+
+
+@pytest.mark.parametrize("kind, flag, value", [
+    *(pytest.param("kkk", flag, value, id=f"{flag}-{value}") for flag, value in BAD_TABLE_RANGES),
+    *(pytest.param("zbar", flag, value, id=f"zbar-{flag}-{value}")
+      for flag, value in BAD_TABLE_RANGES),
+])
+def test_table_kkk_bad_range_is_input_error(capsys, kind, flag, value):
+    """Refused before any field or backend is built."""
+    from qmhs.mhs import exact_backend
+
+    built = get_field.cache_info().misses, exact_backend.cache_info().misses
+    code, out, err = run_cli(capsys, "table", kind, flag, value)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    if flag != "--k":
+        assert err == f"error: {flag} {value} is negative\n"
+    assert (get_field.cache_info().misses, exact_backend.cache_info().misses) == built
 
 
 def test_table_kkk_empty_range_is_empty_table(capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmhs.cli import main as cli_main
-from qmhs.cyclotomic import CycloElem, get_field
+from qmhs.cyclotomic import CycloElem, CycloField, get_field
 from qmhs.exactnum import Poly
 from qmhs.mhs import Index, _zbar_cached, enumerate_indices, exact_backend, numeric_backend, zbar
 from qmhs import mhs, ohno_zagier
@@ -27,7 +27,13 @@ from qmhs.ohno_zagier import (
     verify_prop_3_3,
     verify_theorem_1_2,
 )
-from helpers import inv_one_minus_zeta_pow, phi_recurrence_by_inverses, transform_images, truncate
+from helpers import (
+    inv_one_minus_zeta_pow,
+    phi_recurrence_by_inverses,
+    quad_p_by_operations,
+    transform_images,
+    truncate,
+)
 
 
 def test_u_kernel_low_coefficients():
@@ -116,8 +122,8 @@ def test_theorem_1_2_reads_u_star_from_the_cached_f_star(monkeypatch):
         rep = verify_theorem_1_2(n, cap)
         assert rep.status == "pass"
         assert rep.rhs.split(" | U*=")[1] == u_star
-    # the one call builds the cached F*, from the cached F
-    assert calls == [f_series(n, cap, False)]
+    # each row takes F* = to_star(F) of the cached F once, and reads U* from it
+    assert calls == [f_series(n, cap)] * 2
 
 
 def test_failing_theorem_1_2_row_renders_the_kernels_own_star(monkeypatch, capsys):
@@ -211,7 +217,6 @@ def test_strict_phi_product_takes_no_inverse_and_no_quadratic(monkeypatch):
     n, cap = 10, 8
     expected = phi_product_factors(n, cap)
     monkeypatch.setattr(MultiSeries, "invert", _refuse)
-    monkeypatch.setattr(ohno_zagier, "_quad_p", _refuse)
     assert phi_product(n, cap) == expected
 
 
@@ -230,27 +235,50 @@ def test_phi_recurrence_matches_inverse_oracle(n):
         assert phi_recurrence(n, cap) == phi_recurrence_by_inverses(n, cap), cap
 
 
-def test_phi_recurrence_takes_no_series_inverse_and_reads_no_row(monkeypatch):
+def test_phi_recurrence_makes_no_field_operation_and_reads_no_row(monkeypatch):
+    # the closed form is built over Q and lifted to Q(zeta_n) once
     n, cap = 10, 8
     expected = phi_recurrence_by_inverses(n, cap)
-    monkeypatch.setattr(MultiSeries, "invert", _refuse)
-    monkeypatch.setattr(mhs.ExactBackend, "polylog_row", _refuse)
+    for cls, name in ((CycloElem, "__mul__"), (CycloElem, "inverse"),
+                      (CycloField, "conjugates"), (mhs.ExactBackend, "polylog_row")):
+        monkeypatch.setattr(cls, name, _refuse)
     assert phi_recurrence(n, cap) == expected
 
 
-@pytest.mark.parametrize("n, divisors", [(10, 3), (12, 5), (41, 1)])
-def test_phi_recurrence_inverts_once_per_divisor(monkeypatch, n, divisors):
-    # s_j for j = g u is the conjugate sigma_u(s_g), one inverse per g | n, g < n
-    calls = []
-    inverse = CycloElem.inverse
+def _levels_oracle(n, factor):
+    """prod_(0<j<n) factor(field, zeta^j) over Q(zeta_n) at cap 8, taken to Q;
+    truncation commutes with the product, so it serves every cap <= 8."""
+    field = get_field(n)
+    total = MultiSeries.constant(1, 8, field)
+    for j in range(1, n):
+        total = total * factor(field, field.zeta_pow(j))
+    return total.to_rational()
 
-    def counted(self):
-        calls.append(self)
-        return inverse(self)
 
-    monkeypatch.setattr(CycloElem, "inverse", counted)
-    phi_recurrence(n, 4)
-    assert len(calls) == divisors
+@pytest.mark.parametrize("n", [*range(2, 17), 41])
+def test_over_levels_numerator_is_the_product_of_the_quadratics(n):
+    numerator = _levels_oracle(n, lambda field, x: quad_p_by_operations(field, x, 8))
+    for cap in range(0, 9):
+        u, v, w = (MultiSeries.variable(name, cap) for name in "uvw")
+        got = ohno_zagier._over_levels(n, cap, v - u, w - u * v)
+        assert got == truncate(numerator, cap), cap
+
+
+@pytest.mark.parametrize("n", [*range(2, 17), 41])
+def test_over_levels_denominator_is_the_product_of_the_linear_pairs(n):
+    def pair(field, x):  # (1 - x)(1 - u - x) = c^2 - c u, c = 1 - x
+        c = field.one - x
+        return MultiSeries(field, 8, {(0, 0, 0): c * c, (1, 0, 0): -c})
+
+    denominator = _levels_oracle(n, pair)
+    for cap in range(0, 9):
+        u = MultiSeries.variable("u", cap)
+        got = ohno_zagier._over_levels(n, cap, -u, MultiSeries.zero(cap))
+        assert got == truncate(denominator, cap), cap
+        # D = n g(-u), g = ((1+x)^n - 1)/x
+        g = binomial_quotient(n, cap)
+        g_at_minus_u = {e: (-1) ** e[0] * c for e, c in g.coeffs.items()}
+        assert got == MultiSeries(RATIONALS, cap, g_at_minus_u).scale(Fraction(n)), cap
 
 
 @pytest.mark.parametrize("n, cap", [(41, 6), (49, 4)])
@@ -322,7 +350,7 @@ def test_binomial_map_edge_cases():
 def test_phi_substitution_takes_no_series_operation_beyond_phi_product(monkeypatch):
     n, cap = 10, 8
     rec = phi_recurrence(n, cap)
-    f_series(n, cap, False)  # the target, cached outside the count
+    f_series(n, cap)  # the target, cached outside the count
     monkeypatch.setattr(ohno_zagier, "phi_recurrence", lambda n, cap: rec)
     calls = _count_calls(monkeypatch, MultiSeries, "__mul__", "invert")
     phi_product(n, cap)
@@ -459,11 +487,16 @@ def test_polylog_builds_each_weight_row_once(monkeypatch):
     assert second == m_major_polylog(Index((3, 2, 1, 3)), n, star=True)
 
 
+def f_series_of(n, cap, star, build=f_series):
+    """The strict series, or with `star` the non-strict one, to_star of it."""
+    return to_star(build(n, cap)) if star else build(n, cap)
+
+
 @pytest.mark.parametrize("n", range(1, 12))
 def test_f_series_matches_bruteforce(n):
     for cap in range(0, 8):
         for star in (False, True):
-            assert f_series(n, cap, star) == f_bruteforce(n, cap, star), (cap, star)
+            assert f_series_of(n, cap, star) == f_bruteforce(n, cap, star), (cap, star)
 
 
 def f_series_layers(n, cap, star=False):
@@ -503,7 +536,7 @@ LAYER_ORACLE_SIZES = sorted(
 @pytest.mark.parametrize("star", (False, True))
 @pytest.mark.parametrize("n,cap", LAYER_ORACLE_SIZES)
 def test_f_series_matches_layer_oracle(n, cap, star):
-    assert f_series(n, cap, star) == f_series_layers(n, cap, star)
+    assert f_series_of(n, cap, star) == f_series_layers(n, cap, star)
 
 
 def _count_calls(monkeypatch, cls, *names):
@@ -536,7 +569,7 @@ def test_f_series_strict_is_one_series_product_per_level(monkeypatch):
     n, cap = 10, 8
     _warm_f_series_inputs(n, cap)
     calls = _count_field_ops(monkeypatch)
-    plain = f_series(n, cap, False)
+    plain = f_series(n, cap)
     monkeypatch.undo()
     # per level: cap products zeta^((p-1)m) * row entry; the first level's
     # series product may multiply its cap + 1 terms by the constant 1
@@ -548,17 +581,17 @@ def test_f_series_strict_is_one_series_product_per_level(monkeypatch):
 def test_f_series_star_makes_no_field_operation(monkeypatch):
     n, cap = 10, 8
     _warm_f_series_inputs(n, cap)
-    plain = f_series(n, cap, False)
+    plain = f_series(n, cap)
     calls = _count_field_ops(monkeypatch)
-    star = f_series(n, cap, True)
+    star = to_star(plain)
     monkeypatch.undo()
     assert calls == {"__mul__": 0, "_combine": 0}
-    assert star == to_star(plain)
+    assert star == f_series_layers(n, cap, star=True)
 
 
 def test_f_series_matches_kernels_at_16_10():
-    assert f_series(16, 10, False) == u_kernel(16, 10)
-    assert f_series(16, 10, True) == to_star(u_kernel(16, 10))
+    assert f_series(16, 10) == u_kernel(16, 10)
+    assert to_star(f_series(16, 10)) == to_star(u_kernel(16, 10))
 
 
 def test_sum_formula_lhs_matches_per_index_zbar_sum():
@@ -580,16 +613,18 @@ def test_f_series_cache_is_bounded():
 @pytest.mark.parametrize("star", (False, True))
 def test_f_series_refuses_level_zero(star):
     with pytest.raises(ValueError, match="^n must be a positive integer$"):
-        f_series(0, 3, star)
+        f_series_of(0, 3, star)
 
 
 def test_f_series_call_forms_share_one_cache_entry():
     f_series.cache_clear()
     first = f_series(7, 5)
-    assert f_series(7, 5, False) is first
-    assert f_series(7, 5, star=False) is first
-    info = f_series.cache_info()
-    assert (info.hits, info.misses) == (2, 1)
+    assert f_series(7, 5) is first
+    for call in (lambda: f_series(n=7, cap=5), lambda: f_series(7, cap=5),
+                 lambda: f_series(7, 5, False)):
+        with pytest.raises(TypeError):
+            call()
+    assert f_series.cache_info().hits == 1
 
 
 def test_field_caches_are_bounded():
@@ -607,9 +642,9 @@ def test_zbar_cache_is_bounded():
 @pytest.mark.parametrize("star", (False, True))
 @pytest.mark.parametrize("n", range(1, 10))
 def test_f_series_truncated_at_largest_cap_equals_fresh_build(n, star):
-    top = f_series.__wrapped__(n, 8, star)
+    top = f_series_of(n, 8, star, f_series.__wrapped__)
     for cap in range(0, 8):
-        assert truncate(top, cap) == f_series.__wrapped__(n, cap, star), cap
+        assert truncate(top, cap) == f_series_of(n, cap, star, f_series.__wrapped__), cap
 
 
 def test_sumformula_suite_builds_one_series_per_level(monkeypatch, capsys):
